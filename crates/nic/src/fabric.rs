@@ -30,6 +30,11 @@
 //! builds exactly that, and its behavior (RNG draw order, event
 //! schedule, modeled times) is bit-identical to the pre-topology code.
 //!
+//! Packets travel as trains along one path: [`FabricHandle::transmit_burst`]
+//! sends a train from one host, and [`FabricHandle::transmit`] is a
+//! one-packet train. Each switch on the path admits the train packet by
+//! packet, then forwards one sub-train per egress port in one event.
+//!
 //! The fabric owns every [`VirtNic`]; all state advances on the
 //! single-threaded [`Sim`] event loop via a cloneable [`FabricHandle`].
 
@@ -230,14 +235,30 @@ struct IngressPass {
     extra: Nanos,
 }
 
+/// A switch egress port: a leaf's host-facing port toward a host, or
+/// the sending end of a directed trunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Port {
+    Host(HostId),
+    Trunk(SwitchId, SwitchId),
+}
+
+/// One host's NIC and the two serialization points that belong to it:
+/// its uplink into the leaf, and the leaf's egress port toward it.
+struct HostPort {
+    nic: VirtNic,
+    /// When the uplink finishes serializing what it was handed.
+    uplink_busy: Nanos,
+    egress: PortLanes,
+}
+
 /// The fabric: NICs, uplinks, and the switching tier (one leaf per
 /// rack, optionally joined by spines).
 pub struct Fabric {
     cfg: FabricConfig,
     topo: Topology,
-    nics: HashMap<HostId, VirtNic>,
-    uplink_busy: HashMap<HostId, Nanos>,
-    egress: HashMap<HostId, PortLanes>,
+    /// Every host, indexed by its dense [`HostId`].
+    hosts: Vec<HostPort>,
     /// Hosts added per rack — the in-rack alternate-path census used
     /// by quarantine rerouting.
     hosts_in_rack: HashMap<u32, u32>,
@@ -282,7 +303,6 @@ pub struct Fabric {
     /// machinery present is bit-identical to one without it.
     gray_rng: Rng,
     stats: FabricStats,
-    next_host: HostId,
     /// Trace recorder for causal op tracing. Observation-only: stamps
     /// stage records against packets that carry a trace context but
     /// never changes timing, RNG draws, or drop decisions.
@@ -300,9 +320,7 @@ impl Fabric {
         Fabric {
             cfg,
             topo,
-            nics: HashMap::new(),
-            uplink_busy: HashMap::new(),
-            egress: HashMap::new(),
+            hosts: Vec::new(),
             hosts_in_rack: HashMap::new(),
             trunk_ports: HashMap::new(),
             down_trunks: HashSet::new(),
@@ -321,24 +339,32 @@ impl Fabric {
             rng,
             gray_rng,
             stats: FabricStats::default(),
-            next_host: 0,
             recorder: None,
         }
     }
 
     fn add_host(&mut self, nic_cfg: NicConfig) -> HostId {
-        let id = self.next_host;
-        self.next_host += 1;
+        let id = self.hosts.len() as HostId;
         assert!(
             u64::from(id) < self.topo.capacity(),
             "host {id} exceeds topology capacity {}",
             self.topo.capacity()
         );
-        self.nics.insert(id, VirtNic::new(nic_cfg));
-        self.uplink_busy.insert(id, Nanos::ZERO);
-        self.egress.insert(id, PortLanes::default());
+        self.hosts.push(HostPort {
+            nic: VirtNic::new(nic_cfg),
+            uplink_busy: Nanos::ZERO,
+            egress: PortLanes::default(),
+        });
         *self.hosts_in_rack.entry(self.topo.rack_of(id)).or_insert(0) += 1;
         id
+    }
+
+    fn host(&self, id: HostId) -> Option<&HostPort> {
+        self.hosts.get(id as usize)
+    }
+
+    fn host_mut(&mut self, id: HostId) -> Option<&mut HostPort> {
+        self.hosts.get_mut(id as usize)
     }
 
     /// The switch-ingress fault pipeline at the *source leaf*: random
@@ -347,9 +373,10 @@ impl Fabric {
     /// packet is dropped, otherwise the reroute verdict plus any extra
     /// delay to fold into the first serialization point.
     ///
-    /// Shared verbatim by the per-packet, burst, in-rack and cross-rack
-    /// paths so fault injection behaves identically packet-by-packet
-    /// inside a train (same RNG draw order, same counters).
+    /// Runs packet by packet in train order, for in-rack and cross-rack
+    /// traffic alike, so fault injection inside a train behaves exactly
+    /// as it would for the same packets sent one at a time (same RNG
+    /// draw order, same counters).
     fn ingress_admit(&mut self, now: Nanos, pkt: &mut Packet) -> Option<IngressPass> {
         let src_rack = self.topo.rack_of(pkt.src);
         let leaf = self.topo.trace_host(SwitchId::Leaf(src_rack));
@@ -473,103 +500,75 @@ impl Fabric {
         Some(IngressPass { rerouted, extra })
     }
 
-    /// Egress buffer admission + serialization at the destination's
-    /// leaf host-facing port. Returns the egress departure time, or
-    /// `None` on a tail drop.
-    fn local_egress_admit(&mut self, now: Nanos, pkt: &Packet, extra: Nanos) -> Option<Nanos> {
-        let dst_leaf = SwitchId::Leaf(self.topo.rack_of(pkt.dst));
-        let leaf = self.topo.trace_host(dst_leaf);
-        let limit = match pkt.qos {
-            QosClass::Transport => self.cfg.switch_buffer_bytes,
-            QosClass::BestEffort => {
-                (self.cfg.switch_buffer_bytes as f64 * self.cfg.best_effort_buffer_fraction)
-                    as u64
-            }
-        };
-        let switch_latency = self.cfg.switch_latency;
-        let schedule = self.topo.spec().schedule;
-        let Some(egress_gbps) = self.nics.get(&pkt.dst).map(|n| n.config().gbps) else {
-            // Destination host does not exist; treat as routed to a
-            // black hole.
-            self.stats.switch_drops += 1;
-            *self.switch_drops_by.entry((dst_leaf, pkt.qos)).or_insert(0) += 1;
-            self.stamp(pkt, Stage::WireDrop, leaf, now);
-            return None;
-        };
-        let port = self
-            .egress
-            .get_mut(&pkt.dst)
-            .expect("nic implies egress port");
-        if port.queued_bytes + pkt.wire_size as u64 > limit {
-            self.stats.switch_drops += 1;
-            *self.switch_drops_by.entry((dst_leaf, pkt.qos)).or_insert(0) += 1;
-            self.stamp(pkt, Stage::WireDrop, leaf, now);
-            return None;
-        }
-        port.queued_bytes += pkt.wire_size as u64;
-        // A PFC pause storm against the destination holds egress
-        // serialization until the storm passes; admitted packets keep
-        // occupying the buffer meanwhile, so sustained load during a
-        // storm spills into buffer-full drops — the §5.4 pathology.
-        let paused = self
-            .paused_until
-            .get(&pkt.dst)
-            .copied()
-            .unwrap_or(Nanos::ZERO);
-        let earliest = (now + switch_latency).max(paused);
-        let ser = transmit_time(pkt.wire_size as u64, egress_gbps) + extra;
-        let dep = schedule.depart(port, prio(pkt.qos), earliest, ser);
-        self.stamp(pkt, Stage::SwitchDepart, leaf, dep);
-        Some(dep)
-    }
-
-    /// The legacy single-switch pipeline for in-rack traffic: ingress
-    /// faults then egress admission, bit-identical to the pre-topology
-    /// `switch_admit` on the degenerate topology.
-    fn switch_admit(&mut self, now: Nanos, pkt: &mut Packet) -> Option<Nanos> {
-        let pass = self.ingress_admit(now, pkt)?;
-        self.local_egress_admit(now, pkt, pass.extra)
-    }
-
-    /// Buffer admission + serialization at a directed trunk's egress
-    /// port (`from` owns the port). Returns the departure time, or
-    /// `None` on a tail drop. Trunk drops count into
-    /// [`FabricStats::switch_drops`], attributed to `from`.
-    fn trunk_admit(
+    /// Buffer admission + serialization at a switch egress port.
+    /// Returns the departure time, or `None` on a tail drop, counted
+    /// into [`FabricStats::switch_drops`] against the switch that owns
+    /// the port. A packet for a host that does not exist is routed to a
+    /// black hole and dropped the same way.
+    fn egress_admit(
         &mut self,
-        from: SwitchId,
-        to: SwitchId,
+        port: Port,
         now: Nanos,
         pkt: &Packet,
         extra: Nanos,
     ) -> Option<Nanos> {
         let spec = self.topo.spec();
-        let limit = match pkt.qos {
-            QosClass::Transport => spec.trunk_buffer_bytes,
-            QosClass::BestEffort => {
-                (spec.trunk_buffer_bytes as f64 * self.cfg.best_effort_buffer_fraction) as u64
+        let (switch, buffer, gbps, not_before) = match port {
+            Port::Host(dst) => (
+                SwitchId::Leaf(self.topo.rack_of(dst)),
+                self.cfg.switch_buffer_bytes,
+                self.host(dst).map(|h| h.nic.config().gbps),
+                // A PFC pause storm against the destination holds
+                // egress serialization until the storm passes; admitted
+                // packets keep occupying the buffer meanwhile, so
+                // sustained load during a storm spills into buffer-full
+                // drops — the §5.4 pathology.
+                self.paused_until.get(&dst).copied().unwrap_or(Nanos::ZERO),
+            ),
+            Port::Trunk(from, _) => {
+                (from, spec.trunk_buffer_bytes, Some(spec.trunk_gbps), Nanos::ZERO)
             }
         };
-        let (schedule, trunk_gbps) = (spec.schedule, spec.trunk_gbps);
-        let switch_latency = self.cfg.switch_latency;
-        let trace = self.topo.trace_host(from);
-        let port = self.trunk_ports.entry((from, to)).or_default();
-        if port.queued_bytes + pkt.wire_size as u64 > limit {
-            self.stats.switch_drops += 1;
-            *self.switch_drops_by.entry((from, pkt.qos)).or_insert(0) += 1;
-            self.trunk_stats.entry((from, to)).or_default().drops += 1;
-            self.stamp(pkt, Stage::WireDrop, trace, now);
-            return None;
+        let limit = match pkt.qos {
+            QosClass::Transport => buffer,
+            QosClass::BestEffort => (buffer as f64 * self.cfg.best_effort_buffer_fraction) as u64,
+        };
+        let schedule = spec.schedule;
+        let earliest = (now + self.cfg.switch_latency).max(not_before);
+        let trace = self.topo.trace_host(switch);
+        let wire = pkt.wire_size as u64;
+        let dep = match (gbps, self.port_mut(port)) {
+            (Some(gbps), Some(lanes)) if lanes.queued_bytes + wire <= limit => {
+                lanes.queued_bytes += wire;
+                let ser = transmit_time(wire, gbps) + extra;
+                schedule.depart(lanes, prio(pkt.qos), earliest, ser)
+            }
+            _ => {
+                self.stats.switch_drops += 1;
+                *self.switch_drops_by.entry((switch, pkt.qos)).or_insert(0) += 1;
+                if let Port::Trunk(from, to) = port {
+                    self.trunk_stats.entry((from, to)).or_default().drops += 1;
+                }
+                self.stamp(pkt, Stage::WireDrop, trace, now);
+                return None;
+            }
+        };
+        if let Port::Trunk(from, to) = port {
+            let stats = self.trunk_stats.entry((from, to)).or_default();
+            stats.bytes += wire;
+            stats.forwarded += 1;
         }
-        port.queued_bytes += pkt.wire_size as u64;
-        let earliest = now + switch_latency;
-        let ser = transmit_time(pkt.wire_size as u64, trunk_gbps) + extra;
-        let dep = schedule.depart(port, prio(pkt.qos), earliest, ser);
-        let stats = self.trunk_stats.entry((from, to)).or_default();
-        stats.bytes += pkt.wire_size as u64;
-        stats.forwarded += 1;
         self.stamp(pkt, Stage::SwitchDepart, trace, dep);
         Some(dep)
+    }
+
+    /// The serialization state of an egress port (a trunk port is
+    /// created on first use), or `None` for a host that does not exist.
+    fn port_mut(&mut self, port: Port) -> Option<&mut PortLanes> {
+        match port {
+            Port::Host(dst) => self.host_mut(dst).map(|h| &mut h.egress),
+            Port::Trunk(from, to) => Some(self.trunk_ports.entry((from, to)).or_default()),
+        }
     }
 
     /// Counts a cross-rack packet dropped for want of any live trunk
@@ -596,11 +595,21 @@ pub struct FabricHandle {
     inner: Rc<RefCell<Fabric>>,
 }
 
-/// Error returned by [`FabricHandle::transmit`] when the source NIC has
-/// no free tx descriptor slot; the packet is handed back so the caller
-/// can regenerate it later (just-in-time transmission, §3.1).
+/// Why [`FabricHandle::transmit`] handed its packet back.
 #[derive(Debug)]
-pub struct TxBusy(pub Packet);
+pub enum TxError {
+    /// The source NIC has no free tx descriptor slot; the caller can
+    /// regenerate the packet later (just-in-time transmission, §3.1).
+    Busy(Packet),
+    /// The packet's source host is not on this fabric.
+    UnknownHost(Packet),
+}
+
+/// Error returned by [`FabricHandle::transmit_burst`] when the train's
+/// source host is not on this fabric; every packet stays with the
+/// caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownHost(pub HostId);
 
 impl FabricHandle {
     /// Creates an empty single-switch fabric — the degenerate
@@ -699,7 +708,7 @@ impl FabricHandle {
 
     /// Number of hosts on the fabric.
     pub fn num_hosts(&self) -> usize {
-        self.inner.borrow().nics.len()
+        self.inner.borrow().hosts.len()
     }
 
     /// Fabric counters snapshot.
@@ -841,7 +850,7 @@ impl FabricHandle {
     /// Line rate (Gbps) of a host's NIC, if the host exists — the
     /// denominator for link-utilization gauges.
     pub fn host_gbps(&self, host: HostId) -> Option<f64> {
-        self.inner.borrow().nics.get(&host).map(|n| n.config().gbps)
+        self.inner.borrow().host(host).map(|h| h.nic.config().gbps)
     }
 
     /// Stalls a host's tx queue until absolute time `until` (models a
@@ -859,9 +868,8 @@ impl FabricHandle {
         let fabric = self.inner.borrow();
         let fault = fabric.fault_drops.get(&host).copied().unwrap_or_default();
         let (crc_bad, no_buffer) = fabric
-            .nics
-            .get(&host)
-            .map(|n| (n.stats().rx_crc_drops, n.stats().rx_overflow_drops))
+            .host(host)
+            .map(|h| (h.nic.stats().rx_crc_drops, h.nic.stats().rx_overflow_drops))
             .unwrap_or((0, 0));
         DropReasons {
             crc_bad,
@@ -883,28 +891,67 @@ impl FabricHandle {
     /// from within another fabric borrow.
     pub fn with_nic<R>(&self, host: HostId, f: impl FnOnce(&mut VirtNic) -> R) -> R {
         let mut fabric = self.inner.borrow_mut();
-        let nic = fabric.nics.get_mut(&host).expect("unknown host");
-        f(nic)
+        let host = fabric.host_mut(host).expect("unknown host");
+        f(&mut host.nic)
     }
 
-    /// Transmits a packet from its `src` host on the given tx queue.
+    /// Transmits a packet from its `src` host on the given tx queue, as
+    /// a one-packet train through [`Self::transmit_burst`].
     ///
-    /// Fails with [`TxBusy`] when no tx descriptor slot is free. On
-    /// success the packet is fully simulated: uplink serialization,
-    /// switch queueing (or drop), egress serialization, delivery into
-    /// the destination NIC's rx ring, and interrupt delivery if armed.
-    pub fn transmit(&self, sim: &mut Sim, queue: u16, pkt: Packet) -> Result<(), TxBusy> {
-        let (depart_uplink, src, wire) = {
-            let mut fabric = self.inner.borrow_mut();
-            let src = pkt.src;
-            let nic = fabric.nics.get_mut(&src).expect("unknown source host");
-            if !nic.take_tx_slot(queue) {
-                return Err(TxBusy(pkt));
-            }
-            let gbps = nic.config().gbps;
-            let wire = pkt.wire_size;
-            // Tx-side DMA: descriptor fetch + payload read from host
-            // memory before bits hit the wire.
+    /// Hands the packet back in [`TxError::Busy`] when no tx descriptor
+    /// slot is free, and in [`TxError::UnknownHost`] when the source
+    /// host does not exist. On success the packet is fully simulated:
+    /// uplink serialization, switch queueing (or drop), egress
+    /// serialization, delivery into the destination NIC's rx ring, and
+    /// interrupt delivery if armed.
+    pub fn transmit(&self, sim: &mut Sim, queue: u16, pkt: Packet) -> Result<(), TxError> {
+        let mut train = vec![pkt];
+        let sent = self.transmit_burst(sim, queue, &mut train);
+        match (sent, train.pop()) {
+            (_, None) => Ok(()),
+            (Ok(_), Some(pkt)) => Err(TxError::Busy(pkt)),
+            (Err(UnknownHost(_)), Some(pkt)) => Err(TxError::UnknownHost(pkt)),
+        }
+    }
+
+    /// Transmits a packet train from one host on one tx queue,
+    /// coalescing fixed simulation work: ONE scheduled event covers the
+    /// whole train at each hop (uplink completion, switch arrival, and
+    /// one egress departure per sub-train), and the receiving NIC
+    /// raises at most one interrupt per rx queue per train. Per-packet
+    /// *semantics* are unchanged: tx descriptor slots, uplink
+    /// serialization occupancy, random loss, partitions, corruption and
+    /// egress buffer admission are all applied packet by packet in
+    /// train order.
+    ///
+    /// Packets are accepted until tx slots run out; the accepted count
+    /// is returned and unaccepted packets stay in `pkts`
+    /// (front-aligned), for the caller to regenerate later. When every
+    /// packet is accepted, the train takes `pkts`' buffer and leaves
+    /// `pkts` empty with no capacity. A source host that does not exist
+    /// is an [`UnknownHost`] error, with every packet left in `pkts`.
+    ///
+    /// The whole train becomes visible at the switch when its *last*
+    /// packet finishes uplink serialization (and at the next hop when
+    /// its sub-train finishes egress serialization), so a packet's
+    /// arrival can shift later by at most one train serialization time
+    /// relative to sending it alone — bound the train with
+    /// [`costs::FABRIC_BURST_MAX`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packets do not all share the same source host.
+    pub fn transmit_burst(
+        &self,
+        sim: &mut Sim,
+        queue: u16,
+        pkts: &mut Vec<Packet>,
+    ) -> Result<usize, UnknownHost> {
+        let Some(first) = pkts.first() else { return Ok(0) };
+        let src = first.src;
+        let (depart_uplink, train) = {
+            let mut guard = self.inner.borrow_mut();
+            let fabric = &mut *guard;
             let dma_ready = sim.now() + fabric.cfg.nic_dma;
             // A stalled queue holds its packets until the stall lifts,
             // but does not occupy the shared uplink while waiting —
@@ -915,349 +962,175 @@ impl FabricHandle {
                 .copied()
                 .filter(|&until| until > sim.now())
                 .unwrap_or(Nanos::ZERO);
-            let ser = transmit_time(wire as u64, gbps);
-            let busy = fabric.uplink_busy.get_mut(&src).expect("uplink exists");
-            let start = (*busy).max(dma_ready);
-            let end = start + ser;
-            *busy = end;
-            let depart = end.max(stall + ser);
-            fabric.stamp(&pkt, Stage::NicTx, src, depart);
-            (depart, src, wire)
-        };
-
-        // Tx descriptor completes when serialization finishes.
-        let handle = self.clone();
-        sim.schedule_at(depart_uplink, move |sim| {
-            handle.with_nic(src, |nic| nic.complete_tx(queue, wire));
-            handle.arrive_at_switch(sim, pkt);
-        });
-        Ok(())
-    }
-
-    /// Packet reaches the source leaf ingress; apply loss, buffer and
-    /// egress-port serialization, then forward toward the destination.
-    /// Cross-rack packets ride the train pipeline as a one-packet train
-    /// (timing-identical — pinned by the burst-of-one test).
-    fn arrive_at_switch(&self, sim: &mut Sim, pkt: Packet) {
-        let cross = {
-            let fabric = self.inner.borrow();
-            !fabric.topo.same_rack(pkt.src, pkt.dst)
-        };
-        if cross {
-            self.arrive_at_switch_burst(sim, vec![pkt]);
-            return;
-        }
-        let ingress = sim.now() + self.inner.borrow().cfg.prop_delay;
-        let handle = self.clone();
-        sim.schedule_at(ingress, move |sim| {
-            let mut pkt = pkt;
-            let departure = {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                match fabric.switch_admit(now, &mut pkt) {
-                    Some(dep) => dep,
-                    None => return,
-                }
+            let Some(host) = fabric.hosts.get_mut(src as usize) else {
+                return Err(UnknownHost(src));
             };
-            let handle2 = handle.clone();
-            sim.schedule_at(departure, move |sim| {
-                {
-                    let mut fabric = handle2.inner.borrow_mut();
-                    if let Some(port) = fabric.egress.get_mut(&pkt.dst) {
-                        port.queued_bytes -= pkt.wire_size as u64;
-                    }
-                }
-                handle2.deliver(sim, pkt);
-            });
-        });
-    }
-
-    /// Transmits a packet train from one host on one tx queue,
-    /// coalescing fixed simulation work: ONE scheduled event covers the
-    /// whole train at each hop (uplink completion, switch ingress, and
-    /// one egress departure + delivery per destination sub-train), and
-    /// the receiving NIC raises at most one interrupt per rx queue per
-    /// burst. Per-packet *semantics* are unchanged: tx descriptor
-    /// slots, uplink serialization occupancy, random loss, partitions,
-    /// corruption and egress buffer admission are all applied packet by
-    /// packet in train order, through the same code as [`Self::transmit`].
-    ///
-    /// Packets are accepted until tx slots run out; the accepted count
-    /// is returned and unaccepted packets stay in `pkts`
-    /// (front-aligned), for the caller to regenerate later.
-    ///
-    /// The whole train becomes visible at the switch when its *last*
-    /// packet finishes uplink serialization (and at the destination
-    /// when its sub-train finishes egress serialization), so a packet's
-    /// arrival can shift later by at most one train serialization time
-    /// relative to per-packet transmission — bound the train with
-    /// [`costs::FABRIC_BURST_MAX`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packets do not all share the same source host, or
-    /// if that host does not exist.
-    pub fn transmit_burst(&self, sim: &mut Sim, queue: u16, pkts: &mut Vec<Packet>) -> usize {
-        let Some(first) = pkts.first() else { return 0 };
-        let src = first.src;
-        let (depart_uplink, accepted) = {
-            let mut fabric = self.inner.borrow_mut();
-            let dma_ready = sim.now() + fabric.cfg.nic_dma;
-            let stall = fabric
-                .queue_stalls
-                .get(&(src, queue))
-                .copied()
-                .filter(|&until| until > sim.now())
-                .unwrap_or(Nanos::ZERO);
-            let nic = fabric.nics.get_mut(&src).expect("unknown source host");
-            let gbps = nic.config().gbps;
             let mut taken = 0;
             for pkt in pkts.iter() {
                 assert_eq!(pkt.src, src, "burst mixes source hosts");
-                if !nic.take_tx_slot(queue) {
+                if !host.nic.take_tx_slot(queue) {
                     break;
                 }
                 taken += 1;
             }
-            let mut busy = *fabric.uplink_busy.get(&src).expect("uplink exists");
+            if taken == 0 {
+                return Ok(0);
+            }
+            let gbps = host.nic.config().gbps;
             let mut depart = Nanos::ZERO;
             for pkt in &pkts[..taken] {
+                // Tx-side DMA (descriptor fetch + payload read from
+                // host memory) precedes serialization.
                 let ser = transmit_time(pkt.wire_size as u64, gbps);
-                let start = busy.max(dma_ready);
-                let end = start + ser;
-                busy = end;
+                host.uplink_busy = host.uplink_busy.max(dma_ready) + ser;
                 // Each packet clears the uplink at its own serialization
                 // end, even though one event forwards the whole train.
-                fabric.stamp(pkt, Stage::NicTx, src, end.max(stall + ser));
-                depart = depart.max(end.max(stall + ser));
+                let clear = host.uplink_busy.max(stall + ser);
+                // Stamped in place: `Fabric::stamp` would borrow all of
+                // the fabric while `host` is borrowed from it.
+                if let (Some(ctx), Some(rec)) = (pkt.trace, fabric.recorder.as_ref()) {
+                    rec.record(ctx, Stage::NicTx, src, clear);
+                }
+                depart = depart.max(clear);
             }
-            *fabric.uplink_busy.get_mut(&src).expect("uplink exists") = busy;
-            (depart, pkts.drain(..taken).collect::<Vec<Packet>>())
+            let train = if taken == pkts.len() {
+                std::mem::take(pkts)
+            } else {
+                pkts.drain(..taken).collect()
+            };
+            (depart, train)
         };
-        let n = accepted.len();
-        if n == 0 {
-            return 0;
-        }
+        let taken = train.len();
         // One event retires every tx descriptor and forwards the train
         // when the last packet clears the uplink.
         let handle = self.clone();
         sim.schedule_at(depart_uplink, move |sim| {
             handle.with_nic(src, |nic| {
-                for pkt in &accepted {
+                for pkt in &train {
                     nic.complete_tx(queue, pkt.wire_size);
                 }
             });
-            handle.arrive_at_switch_burst(sim, accepted);
+            handle.arrive_at_src_leaf(sim, train);
         });
-        n
+        Ok(taken)
     }
 
-    /// Train reaches the source leaf ingress: run the per-packet
-    /// pipeline on every packet (in order). In-rack survivors go
-    /// straight to the leaf's host-facing egress, exactly as the legacy
-    /// single-switch code did; cross-rack survivors pick an ECMP spine
-    /// and queue on the leaf→spine trunk port. One departure event is
-    /// scheduled per destination sub-train (in-rack) and per spine
-    /// sub-train (cross-rack), at that sub-train's last egress
-    /// departure.
-    fn arrive_at_switch_burst(&self, sim: &mut Sim, pkts: Vec<Packet>) {
-        let ingress = sim.now() + self.inner.borrow().cfg.prop_delay;
-        let handle = self.clone();
-        sim.schedule_at(ingress, move |sim| {
-            // (dst, sub-train departure, sub-train packets), in
-            // first-packet order per destination.
-            let mut trains: Vec<(HostId, Nanos, Vec<Packet>)> = Vec::new();
-            // (spine, sub-train departure, packets) for cross-rack.
-            let mut uplinks: Vec<(u32, Nanos, Vec<Packet>)> = Vec::new();
-            let mut src_rack = 0;
-            {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                for mut pkt in pkts {
-                    let Some(pass) = fabric.ingress_admit(now, &mut pkt) else {
-                        continue;
-                    };
-                    if fabric.topo.same_rack(pkt.src, pkt.dst) {
-                        let Some(dep) = fabric.local_egress_admit(now, &pkt, pass.extra) else {
-                            continue;
-                        };
-                        match trains.iter_mut().find(|(dst, ..)| *dst == pkt.dst) {
-                            Some((_, train_dep, train)) => {
-                                *train_dep = (*train_dep).max(dep);
-                                train.push(pkt);
-                            }
-                            None => trains.push((pkt.dst, dep, vec![pkt])),
-                        }
-                        continue;
-                    }
-                    // Cross-rack: deterministic ECMP spine pick. A
-                    // reroute verdict re-hashes with a salt to land on
-                    // a different equal-cost spine.
-                    src_rack = fabric.topo.rack_of(pkt.src);
-                    let salt = u64::from(pass.rerouted);
-                    let spine = {
-                        let down = &fabric.down_trunks;
-                        fabric.topo.ecmp_spine(pkt.src, pkt.dst, pkt.rss_hash, salt, |l, s| {
-                            down.contains(&(l, s))
-                        })
-                    };
-                    let Some(spine) = spine else {
-                        fabric.drop_trunk_down(now, &pkt);
-                        continue;
-                    };
-                    let from = SwitchId::Leaf(src_rack);
-                    let to = SwitchId::Spine(spine);
-                    let Some(dep) = fabric.trunk_admit(from, to, now, &pkt, pass.extra) else {
-                        continue;
-                    };
-                    match uplinks.iter_mut().find(|(s, ..)| *s == spine) {
-                        Some((_, train_dep, train)) => {
-                            *train_dep = (*train_dep).max(dep);
-                            train.push(pkt);
-                        }
-                        None => uplinks.push((spine, dep, vec![pkt])),
-                    }
-                }
-            }
-            for (dst, departure, train) in trains {
-                let handle2 = handle.clone();
-                sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        if let Some(port) = fabric.egress.get_mut(&dst) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
-                    }
-                    handle2.deliver_train(sim, train);
-                });
-            }
-            for (spine, departure, train) in uplinks {
-                let handle2 = handle.clone();
-                sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        let key = (SwitchId::Leaf(src_rack), SwitchId::Spine(spine));
-                        if let Some(port) = fabric.trunk_ports.get_mut(&key) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
-                    }
-                    handle2.arrive_at_spine(sim, spine, train);
-                });
-            }
+    /// Train reaches its source leaf: the ingress fault pipeline runs
+    /// on every packet, then in-rack packets queue on the leaf's
+    /// host-facing port toward their destination and cross-rack
+    /// packets on the leaf→spine trunk that ECMP picks.
+    fn arrive_at_src_leaf(&self, sim: &mut Sim, pkts: Vec<Packet>) {
+        let delay = self.inner.borrow().cfg.prop_delay;
+        self.switch_hop(sim, delay, pkts, |fabric, now, pkt| {
+            let pass = fabric.ingress_admit(now, pkt)?;
+            let port = if fabric.topo.same_rack(pkt.src, pkt.dst) {
+                Port::Host(pkt.dst)
+            } else {
+                // Deterministic ECMP spine pick. A reroute verdict
+                // re-hashes with a salt to land on a different
+                // equal-cost spine.
+                let salt = u64::from(pass.rerouted);
+                let down = &fabric.down_trunks;
+                let spine = fabric
+                    .topo
+                    .ecmp_spine(pkt.src, pkt.dst, pkt.rss_hash, salt, |l, s| {
+                        down.contains(&(l, s))
+                    });
+                let Some(spine) = spine else {
+                    fabric.drop_trunk_down(now, pkt);
+                    return None;
+                };
+                Port::Trunk(
+                    SwitchId::Leaf(fabric.topo.rack_of(pkt.src)),
+                    SwitchId::Spine(spine),
+                )
+            };
+            Some((port, fabric.egress_admit(port, now, pkt, pass.extra)?))
         });
     }
 
-    /// Cross-rack train reaches a spine after trunk propagation: pay
-    /// the spine's forwarding latency via admission onto the
-    /// spine→destination-leaf trunk port, grouped per destination rack.
-    /// A trunk that failed after the flow committed to this spine drops
-    /// the packets here.
+    /// Cross-rack train reaches a spine after trunk propagation and
+    /// queues on the spine→destination-leaf trunk ports. A trunk that
+    /// failed after the flow committed to this spine drops the packets
+    /// here.
     fn arrive_at_spine(&self, sim: &mut Sim, spine: u32, pkts: Vec<Packet>) {
-        let at = sim.now() + self.inner.borrow().topo.spec().trunk_prop;
-        let handle = self.clone();
-        sim.schedule_at(at, move |sim| {
-            // (dst rack, sub-train departure, packets).
-            let mut downlinks: Vec<(u32, Nanos, Vec<Packet>)> = Vec::new();
-            {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                let from = SwitchId::Spine(spine);
-                let trace = fabric.topo.trace_host(from);
-                for pkt in pkts {
-                    fabric.stamp(&pkt, Stage::SwitchArrive, trace, now);
-                    let rack = fabric.topo.rack_of(pkt.dst);
-                    if fabric.down_trunks.contains(&(rack, spine)) {
-                        fabric.drop_trunk_down(now, &pkt);
-                        continue;
-                    }
-                    let Some(dep) =
-                        fabric.trunk_admit(from, SwitchId::Leaf(rack), now, &pkt, Nanos::ZERO)
-                    else {
-                        continue;
-                    };
-                    match downlinks.iter_mut().find(|(r, ..)| *r == rack) {
-                        Some((_, train_dep, train)) => {
-                            *train_dep = (*train_dep).max(dep);
-                            train.push(pkt);
-                        }
-                        None => downlinks.push((rack, dep, vec![pkt])),
-                    }
-                }
+        let delay = self.inner.borrow().topo.spec().trunk_prop;
+        self.switch_hop(sim, delay, pkts, move |fabric, now, pkt| {
+            let from = SwitchId::Spine(spine);
+            fabric.stamp(pkt, Stage::SwitchArrive, fabric.topo.trace_host(from), now);
+            let rack = fabric.topo.rack_of(pkt.dst);
+            if fabric.down_trunks.contains(&(rack, spine)) {
+                fabric.drop_trunk_down(now, pkt);
+                return None;
             }
-            for (rack, departure, train) in downlinks {
-                let handle2 = handle.clone();
-                sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        let key = (SwitchId::Spine(spine), SwitchId::Leaf(rack));
-                        if let Some(port) = fabric.trunk_ports.get_mut(&key) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
-                    }
-                    handle2.arrive_at_dst_leaf(sim, rack, train);
-                });
-            }
+            let port = Port::Trunk(from, SwitchId::Leaf(rack));
+            Some((port, fabric.egress_admit(port, now, pkt, Nanos::ZERO)?))
         });
     }
 
     /// Cross-rack train reaches the destination leaf after trunk
     /// propagation: leaf brownout check, then the same host-facing
-    /// egress admission in-rack traffic gets, grouped per destination
-    /// host.
+    /// egress admission in-rack traffic gets.
     fn arrive_at_dst_leaf(&self, sim: &mut Sim, rack: u32, pkts: Vec<Packet>) {
-        let at = sim.now() + self.inner.borrow().topo.spec().trunk_prop;
-        let handle = self.clone();
-        sim.schedule_at(at, move |sim| {
-            let mut trains: Vec<(HostId, Nanos, Vec<Packet>)> = Vec::new();
-            {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                let trace = fabric.topo.trace_host(SwitchId::Leaf(rack));
-                for pkt in pkts {
-                    fabric.stamp(&pkt, Stage::SwitchArrive, trace, now);
-                    let mut extra = Nanos::ZERO;
-                    if let Some(&(drop_prob, bo_extra)) = fabric.leaf_brownout.get(&rack) {
-                        if fabric.gray_rng.chance(drop_prob) {
-                            fabric.stats.brownout_drops += 1;
-                            fabric.fault_drops.entry(pkt.dst).or_default().brownout += 1;
-                            fabric.stamp(&pkt, Stage::WireDrop, trace, now);
-                            continue;
-                        }
-                        extra = bo_extra;
-                    }
-                    let Some(dep) = fabric.local_egress_admit(now, &pkt, extra) else {
-                        continue;
-                    };
-                    match trains.iter_mut().find(|(dst, ..)| *dst == pkt.dst) {
-                        Some((_, train_dep, train)) => {
-                            *train_dep = (*train_dep).max(dep);
-                            train.push(pkt);
-                        }
-                        None => trains.push((pkt.dst, dep, vec![pkt])),
-                    }
+        let delay = self.inner.borrow().topo.spec().trunk_prop;
+        self.switch_hop(sim, delay, pkts, move |fabric, now, pkt| {
+            let trace = fabric.topo.trace_host(SwitchId::Leaf(rack));
+            fabric.stamp(pkt, Stage::SwitchArrive, trace, now);
+            let mut extra = Nanos::ZERO;
+            if let Some(&(drop_prob, bo_extra)) = fabric.leaf_brownout.get(&rack) {
+                if fabric.gray_rng.chance(drop_prob) {
+                    fabric.stats.brownout_drops += 1;
+                    fabric.fault_drops.entry(pkt.dst).or_default().brownout += 1;
+                    fabric.stamp(pkt, Stage::WireDrop, trace, now);
+                    return None;
                 }
+                extra = bo_extra;
             }
-            for (dst, departure, train) in trains {
-                let handle2 = handle.clone();
-                sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        if let Some(port) = fabric.egress.get_mut(&dst) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
-                    }
-                    handle2.deliver_train(sim, train);
-                });
-            }
+            let port = Port::Host(pkt.dst);
+            Some((port, fabric.egress_admit(port, now, pkt, extra)?))
         });
+    }
+
+    /// One switch on a train's path, the step every hop shares: the
+    /// train arrives after `delay`, `admit` runs on each packet in
+    /// train order and names the egress port it leaves through with its
+    /// departure time (or drops it), and each port's sub-train departs
+    /// in one event at its last packet's departure.
+    fn switch_hop(
+        &self,
+        sim: &mut Sim,
+        delay: Nanos,
+        pkts: Vec<Packet>,
+        admit: impl Fn(&mut Fabric, Nanos, &mut Packet) -> Option<(Port, Nanos)> + 'static,
+    ) {
+        let handle = self.clone();
+        sim.schedule_at(sim.now() + delay, move |sim| {
+            let now = sim.now();
+            let mut fabric = handle.inner.borrow_mut();
+            split_train(
+                pkts,
+                |pkt| admit(&mut fabric, now, pkt),
+                |port, departure, train| {
+                    let handle = handle.clone();
+                    sim.schedule_at(departure, move |sim| handle.depart(sim, port, train));
+                },
+            );
+        });
+    }
+
+    /// A sub-train leaves an egress port: its bytes leave the port's
+    /// buffer and it moves on to the next hop.
+    fn depart(&self, sim: &mut Sim, port: Port, train: Vec<Packet>) {
+        if let Some(lanes) = self.inner.borrow_mut().port_mut(port) {
+            for pkt in &train {
+                lanes.queued_bytes -= pkt.wire_size as u64;
+            }
+        }
+        match port {
+            Port::Host(_) => self.deliver_train(sim, train),
+            Port::Trunk(_, SwitchId::Spine(spine)) => self.arrive_at_spine(sim, spine, train),
+            Port::Trunk(_, SwitchId::Leaf(rack)) => self.arrive_at_dst_leaf(sim, rack, train),
+        }
     }
 
     /// Final hop for a sub-train: propagation + rx DMA, then the whole
@@ -1272,29 +1145,24 @@ impl FabricHandle {
         sim.schedule_at(sim.now() + prop + dma, move |sim| {
             let (irqs, handler) = {
                 let mut fabric = handle.inner.borrow_mut();
-                let Some(dst) = pkts.first().map(|p| p.dst) else {
-                    return;
-                };
-                let n = pkts.len() as u64;
-                if fabric.nics.contains_key(&dst) {
-                    let now = sim.now();
-                    for pkt in &pkts {
-                        let link = fabric.links.entry((pkt.src, pkt.dst)).or_default();
-                        link.bytes += pkt.wire_size as u64;
-                        link.delivered += 1;
-                        fabric.stamp(pkt, Stage::NicDeliver, pkt.dst, now);
-                    }
+                let now = sim.now();
+                for pkt in &pkts {
+                    let link = fabric.links.entry((pkt.src, pkt.dst)).or_default();
+                    link.bytes += pkt.wire_size as u64;
+                    link.delivered += 1;
+                    fabric.stamp(pkt, Stage::NicDeliver, pkt.dst, now);
                 }
-                let Some(nic) = fabric.nics.get_mut(&dst) else {
+                // Counted per packet reaching the NIC (NIC-side drops
+                // have their own counters). Egress admission already
+                // dropped every packet for a host that does not exist.
+                fabric.stats.delivered += pkts.len() as u64;
+                let Some(host) = pkts
+                    .first()
+                    .and_then(|p| fabric.hosts.get_mut(p.dst as usize))
+                else {
                     return;
                 };
-                let irqs = nic.deliver_burst(pkts);
-                let handler = nic.irq_handler();
-                // Counted per packet reaching the NIC, as the
-                // per-packet path does (NIC-side drops have their own
-                // counters).
-                fabric.stats.delivered += n;
-                (irqs, handler)
+                (host.nic.deliver_burst(pkts), host.nic.irq_handler())
             };
             // Invoke interrupts outside the fabric borrow so handlers
             // can freely poll the NIC.
@@ -1305,46 +1173,59 @@ impl FabricHandle {
             }
         });
     }
+}
 
-    /// Final hop: propagation + rx DMA, then into the NIC rx ring.
-    fn deliver(&self, sim: &mut Sim, pkt: Packet) {
-        let (prop, dma) = {
-            let fabric = self.inner.borrow();
-            (fabric.cfg.prop_delay, fabric.cfg.nic_dma)
-        };
-        let handle = self.clone();
-        sim.schedule_at(sim.now() + prop + dma, move |sim| {
-            let (irq, handler) = {
-                let mut fabric = handle.inner.borrow_mut();
-                let dst = pkt.dst;
-                if !fabric.nics.contains_key(&dst) {
-                    return;
-                }
-                let link = fabric.links.entry((pkt.src, pkt.dst)).or_default();
-                link.bytes += pkt.wire_size as u64;
-                link.delivered += 1;
-                fabric.stamp(&pkt, Stage::NicDeliver, dst, sim.now());
-                let Some(nic) = fabric.nics.get_mut(&dst) else {
-                    return;
-                };
-                let irq = nic.deliver(pkt);
-                let handler = nic.irq_handler();
-                if irq.is_some() {
-                    fabric.stats.delivered += 1;
-                } else {
-                    // Delivery without interrupt still counts if the
-                    // packet landed in a ring (check stats delta is
-                    // overkill; deliver() already counted drops).
-                    fabric.stats.delivered += 1;
-                }
-                (irq, handler)
-            };
-            // Invoke the interrupt outside the fabric borrow so the
-            // handler can freely poll the NIC.
-            if let (Some(queue), Some(handler)) = (irq, handler) {
-                handler(sim, queue);
+/// Runs `admit` on each packet of a train in order and emits the
+/// survivors as one sub-train per egress port, with the port's last
+/// departure time. Sub-trains are emitted in first-packet order, those
+/// for host-facing ports ahead of those for trunks. When every survivor
+/// leaves through one port — always so for a one-packet train — the
+/// sub-train is the train's own Vec.
+fn split_train(
+    mut pkts: Vec<Packet>,
+    mut admit: impl FnMut(&mut Packet) -> Option<(Port, Nanos)>,
+    mut emit: impl FnMut(Port, Nanos, Vec<Packet>),
+) {
+    // Survivors for the first port stay in `pkts`; others move out.
+    let mut first: Option<(Port, Nanos)> = None;
+    let mut others: Vec<(Port, Nanos, Vec<Packet>)> = Vec::new();
+    let mut i = 0;
+    while i < pkts.len() {
+        match (admit(&mut pkts[i]), &mut first) {
+            (None, _) => {
+                pkts.remove(i);
             }
-        });
+            (Some(hop), None) => {
+                first = Some(hop);
+                i += 1;
+            }
+            (Some((port, dep)), Some((first_port, last))) if port == *first_port => {
+                *last = (*last).max(dep);
+                i += 1;
+            }
+            (Some((port, dep)), Some(_)) => {
+                let pkt = pkts.remove(i);
+                match others.iter_mut().find(|(p, ..)| *p == port) {
+                    Some((_, last, train)) => {
+                        *last = (*last).max(dep);
+                        train.push(pkt);
+                    }
+                    None => others.push((port, dep, vec![pkt])),
+                }
+            }
+        }
+    }
+    let Some((port, dep)) = first else { return };
+    if others.is_empty() {
+        emit(port, dep, pkts);
+        return;
+    }
+    others.insert(0, (port, dep, pkts));
+    // A stable sort: emission order fixes the order of same-time
+    // departure events, and so is part of the modeled schedule.
+    others.sort_by_key(|&(port, ..)| matches!(port, Port::Trunk(..)));
+    for (port, dep, train) in others {
+        emit(port, dep, train);
     }
 }
 
@@ -1397,7 +1278,9 @@ mod tests {
         sim.run();
         // Slots returned after serialization.
         assert_eq!(fabric.with_nic(a, |n| n.tx_slots_available(0)), 2);
-        let TxBusy(pkt) = third.unwrap_err();
+        let Err(TxError::Busy(pkt)) = third else {
+            panic!("expected a busy error, got {third:?}");
+        };
         fabric.transmit(&mut sim, 0, pkt).unwrap();
         sim.run();
         assert_eq!(fabric.stats().delivered, 3);
@@ -1636,7 +1519,7 @@ mod tests {
         });
         let mut train: Vec<Packet> =
             (0..8).map(|_| packet(a, b, 500).with_rss_hash(0)).collect();
-        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), 8);
+        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), Ok(8));
         assert!(train.is_empty());
         sim.run();
         assert_eq!(fabric.stats().delivered, 8);
@@ -1654,7 +1537,7 @@ mod tests {
         });
         let b = fabric.add_host(NicConfig::default());
         let mut train: Vec<Packet> = (0..6).map(|_| packet(a, b, 100)).collect();
-        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), 4);
+        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), Ok(4));
         assert_eq!(train.len(), 2, "unaccepted packets handed back");
         sim.run();
         assert_eq!(fabric.stats().delivered, 4);
@@ -1673,7 +1556,7 @@ mod tests {
         let a = fabric.add_host(NicConfig::default());
         let b = fabric.add_host(NicConfig::default());
         let mut train: Vec<Packet> = (0..10).map(|_| packet(a, b, 500)).collect();
-        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), 10);
+        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), Ok(10));
         sim.run();
         assert_eq!(fabric.stats().corrupted, 10);
         assert_eq!(fabric.with_nic(b, |n| n.stats().rx_crc_drops), 10);
@@ -1683,7 +1566,7 @@ mod tests {
         fabric.set_corrupt_prob(0.0);
         fabric.partition(a, b);
         let mut train: Vec<Packet> = (0..5).map(|_| packet(a, b, 100)).collect();
-        fabric.transmit_burst(&mut sim, 0, &mut train);
+        fabric.transmit_burst(&mut sim, 0, &mut train).unwrap();
         sim.run();
         assert_eq!(fabric.stats().partition_drops, 5);
         assert_eq!(fabric.drop_reasons(b).partition, 5);
@@ -1702,7 +1585,7 @@ mod tests {
             packet(a, b, 200),
             packet(a, c, 200),
         ];
-        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), 4);
+        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), Ok(4));
         sim.run();
         assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 2);
         assert_eq!(fabric.with_nic(c, |n| n.rx_pending_total()), 2);
@@ -1710,40 +1593,22 @@ mod tests {
     }
 
     #[test]
-    fn burst_of_one_matches_single_transmit_timing() {
-        // A burst of one packet must arrive at exactly the same virtual
-        // time as the same packet sent through `transmit`.
-        let t_single = {
-            let mut sim = Sim::new();
-            let (fabric, a, b) = two_hosts(0.0);
-            let at = Rc::new(Cell::new(Nanos::ZERO));
-            let at2 = at.clone();
-            fabric.with_nic(b, |nic| {
-                nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-                nic.arm_irq(0, true);
-            });
-            fabric
-                .transmit(&mut sim, 0, packet(a, b, 1000).with_rss_hash(0))
-                .unwrap();
-            sim.run();
-            at.get()
+    fn unknown_source_host_is_an_error_not_a_panic() {
+        let mut sim = Sim::new();
+        let (fabric, a, _b) = two_hosts(0.0);
+        let stray = packet(999, a, 100).with_rss_hash(5);
+        let Err(TxError::UnknownHost(back)) = fabric.transmit(&mut sim, 0, stray) else {
+            panic!("a packet from an unknown host must be handed back");
         };
-        let t_burst = {
-            let mut sim = Sim::new();
-            let (fabric, a, b) = two_hosts(0.0);
-            let at = Rc::new(Cell::new(Nanos::ZERO));
-            let at2 = at.clone();
-            fabric.with_nic(b, |nic| {
-                nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-                nic.arm_irq(0, true);
-            });
-            let mut train = vec![packet(a, b, 1000).with_rss_hash(0)];
-            fabric.transmit_burst(&mut sim, 0, &mut train);
-            sim.run();
-            at.get()
-        };
-        assert!(t_single > Nanos::ZERO);
-        assert_eq!(t_single, t_burst);
+        assert_eq!((back.src, back.rss_hash), (999, 5));
+        let mut train = vec![packet(999, a, 100), packet(999, a, 200)];
+        assert_eq!(
+            fabric.transmit_burst(&mut sim, 0, &mut train),
+            Err(UnknownHost(999))
+        );
+        assert_eq!(train.len(), 2, "every packet stays with the caller");
+        sim.run();
+        assert_eq!(fabric.stats().delivered, 0);
     }
 
     #[test]
@@ -2001,29 +1866,20 @@ mod tests {
     }
 
     #[test]
-    fn burst_of_one_matches_single_transmit_cross_rack() {
-        let deliver_at = |burst: bool| {
-            let mut sim = Sim::new();
-            let (fabric, h) = two_racks(1);
-            let at = Rc::new(Cell::new(Nanos::ZERO));
-            let at2 = at.clone();
-            fabric.with_nic(h[2], |nic| {
-                nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-                nic.arm_irq(0, true);
-            });
-            let p = packet(h[0], h[2], 1000).with_rss_hash(0);
-            if burst {
-                let mut train = vec![p];
-                fabric.transmit_burst(&mut sim, 0, &mut train);
-            } else {
-                fabric.transmit(&mut sim, 0, p).unwrap();
-            }
-            sim.run();
-            at.get()
-        };
-        let single = deliver_at(false);
-        assert!(single > Nanos::ZERO);
-        assert_eq!(single, deliver_at(true));
+    fn burst_splits_between_rack_and_trunk() {
+        let mut sim = Sim::new();
+        let (fabric, h) = two_racks(1);
+        let mut train: Vec<Packet> = [h[2], h[1], h[2], h[1], h[3]]
+            .iter()
+            .map(|&dst| packet(h[0], dst, 300))
+            .collect();
+        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), Ok(5));
+        sim.run();
+        assert_eq!(fabric.stats().delivered, 5);
+        assert_eq!(fabric.with_nic(h[1], |n| n.rx_pending_total()), 2);
+        assert_eq!(fabric.with_nic(h[2], |n| n.rx_pending_total()), 2);
+        let up = fabric.trunk_stats(SwitchId::Leaf(0), SwitchId::Spine(0));
+        assert_eq!(up.forwarded, 3, "only the cross-rack packets ride the trunk");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! shared memory in brownout and state in blackout (§4).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -153,13 +153,13 @@ struct ConnState {
     stream_queue: VecDeque<u32>,
     /// Per-stream FIFO of admitted message ids (messages within one
     /// stream are ordered, so they proceed strictly in order).
-    per_stream: HashMap<u32, VecDeque<u64>>,
+    per_stream: BTreeMap<u32, VecDeque<u64>>,
     /// Next message id per stream (sender side).
-    next_msg: HashMap<u32, u64>,
+    next_msg: BTreeMap<u32, u64>,
     /// Next message to deliver per stream (receiver side, in-order).
-    next_deliver: HashMap<u32, u64>,
+    next_deliver: BTreeMap<u32, u64>,
     /// Completed but not yet deliverable messages: (stream, msg) -> len.
-    ready: HashMap<(u32, u64), u64>,
+    ready: BTreeMap<(u32, u64), u64>,
 }
 
 struct SendMsg {
@@ -167,7 +167,7 @@ struct SendMsg {
     session: Option<u64>,
     total: u64,
     chunks: u32,
-    acked_offsets: HashSet<u64>,
+    acked_offsets: BTreeSet<u64>,
     issued_at: Nanos,
     /// Next chunk offset to enqueue; the send scheduler advances this
     /// one chunk at a time, interleaving streams.
@@ -180,7 +180,7 @@ struct SendMsg {
 struct RecvMsg {
     total: u64,
     received: u64,
-    offsets: HashSet<u64>,
+    offsets: BTreeSet<u64>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -222,15 +222,18 @@ pub struct PonyEngine {
     regions: RegionRegistry,
     sessions: SessionTable,
     mapper: FlowMapper,
-    flows: HashMap<u64, Flow>,
+    // Maps and sets whose iteration order is observable (packet order
+    // within a train, checkpoint bytes) are ordered, so the same seed
+    // gives the same run; lookup-only maps stay hashed.
+    flows: BTreeMap<u64, Flow>,
     /// Flow id -> (remote host, remote engine key).
     flow_peers: HashMap<u64, (HostId, u64)>,
-    conns: HashMap<u64, ConnState>,
+    conns: BTreeMap<u64, ConnState>,
     /// In-flight chunk tracking: flow seq -> (conn, stream, msg, offset).
     seq_chunks: HashMap<(u64, u64), (u64, u32, u64, u64)>,
-    send_msgs: HashMap<(u64, u32, u64), SendMsg>,
-    recv_msgs: HashMap<(u64, u32, u64), RecvMsg>,
-    pending_ops: HashMap<u64, PendingOp>,
+    send_msgs: BTreeMap<(u64, u32, u64), SendMsg>,
+    recv_msgs: BTreeMap<(u64, u32, u64), RecvMsg>,
+    pending_ops: BTreeMap<u64, PendingOp>,
     /// Sessions bootstrapped against THIS engine; the shared table may
     /// hold other engines' sessions too.
     owned_sessions: Vec<u64>,
@@ -239,7 +242,7 @@ pub struct PonyEngine {
     /// only be a hedge resubmit: it is absorbed without re-execution,
     /// preserving exactly-once under hedging. Checkpointed so the
     /// guarantee survives a restart with hedges still in flight.
-    session_watermarks: HashMap<u64, u64>,
+    session_watermarks: BTreeMap<u64, u64>,
     stats: PonyStats,
     /// Wake callback for self-arming timers (pacing/RTO); set by the
     /// module after registration.
@@ -291,15 +294,15 @@ impl PonyEngine {
             fabric,
             regions,
             sessions,
-            flows: HashMap::new(),
+            flows: BTreeMap::new(),
             flow_peers: HashMap::new(),
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             seq_chunks: HashMap::new(),
-            send_msgs: HashMap::new(),
-            recv_msgs: HashMap::new(),
-            pending_ops: HashMap::new(),
+            send_msgs: BTreeMap::new(),
+            recv_msgs: BTreeMap::new(),
+            pending_ops: BTreeMap::new(),
             owned_sessions: Vec::new(),
-            session_watermarks: HashMap::new(),
+            session_watermarks: BTreeMap::new(),
             stats: PonyStats::default(),
             wake: None,
             timer: None,
@@ -488,10 +491,10 @@ impl PonyEngine {
                 small_credits: INITIAL_CREDITS,
                 held: VecDeque::new(),
                 stream_queue: VecDeque::new(),
-                per_stream: HashMap::new(),
-                next_msg: HashMap::new(),
-                next_deliver: HashMap::new(),
-                ready: HashMap::new(),
+                per_stream: BTreeMap::new(),
+                next_msg: BTreeMap::new(),
+                next_deliver: BTreeMap::new(),
+                ready: BTreeMap::new(),
             },
         );
     }
@@ -611,7 +614,7 @@ impl PonyEngine {
                 session,
                 total: len,
                 chunks,
-                acked_offsets: HashSet::new(),
+                acked_offsets: BTreeSet::new(),
                 issued_at: now,
                 next_offset: 0,
                 trace,
@@ -632,31 +635,16 @@ impl PonyEngine {
     /// head-of-line blocking each other (§3.3).
     fn fill_flows(&mut self, now: Nanos) {
         const OUTQ_TARGET: usize = 64;
-        // Sorted so the top-up order (and hence intra-train packet
-        // order) is identical across same-seed runs.
-        let mut conn_ids: Vec<u64> = self.conns.keys().copied().collect();
-        conn_ids.sort_unstable();
-        for conn_id in conn_ids {
-            while let Some(conn) = self.conns.get_mut(&conn_id) {
-                if conn.stream_queue.is_empty() {
-                    break;
-                }
-                let flow_id = conn.flow;
-                if self
-                    .flows
-                    .get(&flow_id)
-                    .map(|f| f.pending_tx() >= OUTQ_TARGET)
-                    .unwrap_or(true)
-                {
-                    break;
-                }
-                let stream = conn.stream_queue.pop_front().expect("non-empty");
+        let mtu = self.cfg.mtu as u64;
+        for (&conn_id, conn) in self.conns.iter_mut() {
+            let Some(flow) = self.flows.get_mut(&conn.flow) else { continue };
+            while flow.pending_tx() < OUTQ_TARGET {
+                let Some(stream) = conn.stream_queue.pop_front() else { break };
                 let Some(msgs) = conn.per_stream.get_mut(&stream) else { continue };
                 let Some(&msg) = msgs.front() else {
                     conn.per_stream.remove(&stream);
                     continue;
                 };
-                let mtu = self.cfg.mtu as u64;
                 let Some(send) = self.send_msgs.get_mut(&(conn_id, stream, msg)) else {
                     msgs.pop_front();
                     if !msgs.is_empty() {
@@ -667,25 +655,18 @@ impl PonyEngine {
                 let offset = send.next_offset;
                 let chunk = (send.total - offset).min(mtu) as u32;
                 send.next_offset += chunk as u64;
-                let finished = send.next_offset >= send.total;
-                let total = send.total;
-                self.flows
-                    .get_mut(&flow_id)
-                    .expect("conn flow exists")
-                    .enqueue(
-                        OpFrame::MsgChunk {
-                            conn: conn_id,
-                            stream,
-                            msg,
-                            offset,
-                            total,
-                            len: chunk,
-                        },
-                        now,
-                    );
-                let conn = self.conns.get_mut(&conn_id).expect("still exists");
-                let msgs = conn.per_stream.get_mut(&stream).expect("still exists");
-                if finished {
+                flow.enqueue(
+                    OpFrame::MsgChunk {
+                        conn: conn_id,
+                        stream,
+                        msg,
+                        offset,
+                        total: send.total,
+                        len: chunk,
+                    },
+                    now,
+                );
+                if send.next_offset >= send.total {
                     msgs.pop_front();
                 }
                 if msgs.is_empty() {
@@ -1099,7 +1080,7 @@ impl PonyEngine {
                     .or_insert(RecvMsg {
                         total,
                         received: 0,
-                        offsets: HashSet::new(),
+                        offsets: BTreeSet::new(),
                     });
                 if entry.offsets.insert(offset) {
                     entry.received += len as u64;
@@ -1242,18 +1223,11 @@ impl PonyEngine {
         let max = budget.min(slots);
         let mut batch = std::mem::take(&mut self.tx_batch);
         batch.clear();
-        // Sorted: HashMap key order varies run to run, and per-packet
-        // positions inside the staged train are observable (per-packet
-        // uplink/egress serialization stamps), even though train-level
-        // event times only depend on the max.
-        let mut flow_ids: Vec<u64> = self.flows.keys().copied().collect();
-        flow_ids.sort_unstable();
-        'outer: for fid in flow_ids {
+        'outer: for (&fid, flow) in self.flows.iter_mut() {
             loop {
                 if batch.len() >= max {
                     break 'outer;
                 }
-                let flow = self.flows.get_mut(&fid).expect("listed");
                 let rtx_before = flow.stats().retransmits;
                 let Some(mut pkt) = flow.produce(now) else { break };
                 // A retransmit counter bump during this produce() call
@@ -1291,8 +1265,10 @@ impl PonyEngine {
                     OpFrame::OneSidedResp { op, .. } => self.resp_traces.remove(op),
                     OpFrame::BufferPost { .. } | OpFrame::AckOnly => None,
                 };
-                if is_rtx {
-                    self.stamp(pkt.trace, Stage::Retransmit, now);
+                // Stamped in place: `self.stamp` would borrow all of
+                // `self` while `flows` is being iterated.
+                if let (true, Some(ctx), Some(rec)) = (is_rtx, pkt.trace, &self.recorder) {
+                    rec.record(ctx, Stage::Retransmit, self.cfg.host, now);
                 }
                 let (remote_host, remote_engine_key) =
                     *self.flow_peers.get(&fid).expect("flow has peer");
@@ -1320,16 +1296,20 @@ impl PonyEngine {
         // Per-burst fixed cost + per-packet marginal cost (batch of one
         // costs exactly what the unbatched path charged).
         let cpu = costs::pony_batch_cost(staged);
-        let sent = if staged > 0 {
-            self.fabric.transmit_burst(sim, self.cfg.queue, &mut batch)
-        } else {
-            0
-        };
+        // The fabric keeps the buffer of a fully accepted train, so it
+        // gets an exactly sized one and the staging buffer stays here.
+        // The engine's own host is on the fabric, so the burst cannot
+        // fail.
+        let mut train = Vec::with_capacity(batch.len());
+        train.append(&mut batch);
+        let sent = self
+            .fabric
+            .transmit_burst(sim, self.cfg.queue, &mut train)
+            .unwrap_or(0);
         // `max` was bounded by the slots available, so the whole train
         // is normally accepted; any leftover (slot raced away) is
-        // dropped here and recovered by RTO, exactly like the TxBusy
-        // path of single-packet transmit.
-        batch.clear();
+        // dropped here and recovered by RTO, exactly like a busy
+        // single-packet transmit.
         self.tx_batch = batch;
         self.stats.tx_packets += sent as u64;
         (cpu, sent)
@@ -1541,10 +1521,7 @@ impl Engine for PonyEngine {
         }
         // Connections.
         w.u32(self.conns.len() as u32);
-        let mut conn_ids: Vec<u64> = self.conns.keys().copied().collect();
-        conn_ids.sort_unstable();
-        for id in conn_ids {
-            let c = &self.conns[&id];
+        for c in self.conns.values() {
             w.u64(c.id)
                 .u64(c.flow)
                 .u32(c.remote_host)
@@ -1562,53 +1539,35 @@ impl Engine for PonyEngine {
             }
             // Pending sends, flattened as (stream, msg) pairs; restore
             // rebuilds the per-stream FIFOs (msg ids are ordered).
-            let pending: Vec<(u32, u64)> = {
-                let mut v: Vec<(u32, u64)> = c
-                    .per_stream
-                    .iter()
-                    .flat_map(|(s, q)| q.iter().map(move |m| (*s, *m)))
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            w.u32(pending.len() as u32);
-            for (stream, msg) in pending {
-                w.u32(stream).u64(msg);
+            w.u32(c.per_stream.values().map(|q| q.len() as u32).sum());
+            for (stream, msgs) in &c.per_stream {
+                for msg in msgs {
+                    w.u32(*stream).u64(*msg);
+                }
             }
             w.u32(c.next_msg.len() as u32);
-            let mut streams: Vec<_> = c.next_msg.iter().collect();
-            streams.sort();
-            for (s, m) in streams {
+            for (s, m) in &c.next_msg {
                 w.u32(*s).u64(*m);
             }
             w.u32(c.next_deliver.len() as u32);
-            let mut streams: Vec<_> = c.next_deliver.iter().collect();
-            streams.sort();
-            for (s, m) in streams {
+            for (s, m) in &c.next_deliver {
                 w.u32(*s).u64(*m);
             }
             w.u32(c.ready.len() as u32);
-            let mut ready: Vec<_> = c.ready.iter().collect();
-            ready.sort();
-            for ((s, m), len) in ready {
+            for ((s, m), len) in &c.ready {
                 w.u32(*s).u64(*m).u64(*len);
             }
         }
         // Flows and their peers.
         w.u32(self.flows.len() as u32);
-        let mut flow_ids: Vec<u64> = self.flows.keys().copied().collect();
-        flow_ids.sort_unstable();
-        for fid in flow_ids {
-            let (host, key) = self.flow_peers[&fid];
+        for (fid, flow) in &self.flows {
+            let (host, key) = self.flow_peers[fid];
             w.u32(host).u64(key);
-            w.bytes(&self.flows[&fid].serialize());
+            w.bytes(&flow.serialize());
         }
         // Send-message state.
         w.u32(self.send_msgs.len() as u32);
-        let mut keys: Vec<_> = self.send_msgs.keys().copied().collect();
-        keys.sort_unstable();
-        for (conn, stream, msg) in keys {
-            let s = &self.send_msgs[&(conn, stream, msg)];
+        for (&(conn, stream, msg), s) in &self.send_msgs {
             w.u64(conn).u32(stream).u64(msg);
             w.u64(s.op)
                 .bool(s.session.is_some())
@@ -1618,33 +1577,23 @@ impl Engine for PonyEngine {
                 .u64(s.issued_at.as_nanos())
                 .u64(s.next_offset);
             w.u32(s.acked_offsets.len() as u32);
-            let mut offs: Vec<u64> = s.acked_offsets.iter().copied().collect();
-            offs.sort_unstable();
-            for o in offs {
-                w.u64(o);
+            for o in &s.acked_offsets {
+                w.u64(*o);
             }
         }
         // Receive reassembly state.
         w.u32(self.recv_msgs.len() as u32);
-        let mut keys: Vec<_> = self.recv_msgs.keys().copied().collect();
-        keys.sort_unstable();
-        for (conn, stream, msg) in keys {
-            let r = &self.recv_msgs[&(conn, stream, msg)];
+        for (&(conn, stream, msg), r) in &self.recv_msgs {
             w.u64(conn).u32(stream).u64(msg).u64(r.total);
             w.u32(r.offsets.len() as u32);
-            let mut offs: Vec<u64> = r.offsets.iter().copied().collect();
-            offs.sort_unstable();
-            for o in offs {
-                w.u64(o);
+            for o in &r.offsets {
+                w.u64(*o);
             }
         }
         // Pending one-sided ops.
         w.u32(self.pending_ops.len() as u32);
-        let mut ops: Vec<u64> = self.pending_ops.keys().copied().collect();
-        ops.sort_unstable();
-        for op in ops {
-            let p = &self.pending_ops[&op];
-            w.u64(op)
+        for (op, p) in &self.pending_ops {
+            w.u64(*op)
                 .u8(match p.kind {
                     OpKind::Send => 0,
                     OpKind::Read => 1,
@@ -1660,10 +1609,8 @@ impl Engine for PonyEngine {
         // Per-session hedge-dedup watermarks: without them a hedge
         // duplicate arriving after a restart would re-execute its op.
         w.u32(self.session_watermarks.len() as u32);
-        let mut sids: Vec<u64> = self.session_watermarks.keys().copied().collect();
-        sids.sort_unstable();
-        for sid in sids {
-            w.u64(sid).u64(self.session_watermarks[&sid]);
+        for (sid, wm) in &self.session_watermarks {
+            w.u64(*sid).u64(*wm);
         }
         w.finish()
     }
@@ -1744,7 +1691,7 @@ impl PonyEngine {
                     None,
                 ));
             }
-            let mut per_stream: HashMap<u32, VecDeque<u64>> = HashMap::new();
+            let mut per_stream: BTreeMap<u32, VecDeque<u64>> = BTreeMap::new();
             let mut stream_queue = VecDeque::new();
             for _ in 0..r.u32()? {
                 let stream = r.u32()?;
@@ -1755,19 +1702,19 @@ impl PonyEngine {
                     stream_queue.push_back(stream);
                 }
             }
-            let mut next_msg = HashMap::new();
+            let mut next_msg = BTreeMap::new();
             for _ in 0..r.u32()? {
                 let s = r.u32()?;
                 let m = r.u64()?;
                 next_msg.insert(s, m);
             }
-            let mut next_deliver = HashMap::new();
+            let mut next_deliver = BTreeMap::new();
             for _ in 0..r.u32()? {
                 let s = r.u32()?;
                 let m = r.u64()?;
                 next_deliver.insert(s, m);
             }
-            let mut ready = HashMap::new();
+            let mut ready = BTreeMap::new();
             for _ in 0..r.u32()? {
                 let s = r.u32()?;
                 let m = r.u64()?;
@@ -1817,7 +1764,7 @@ impl PonyEngine {
             let chunks = r.u32()?;
             let issued_at = Nanos(r.u64()?);
             let next_offset = r.u64()?;
-            let mut acked_offsets = HashSet::new();
+            let mut acked_offsets = BTreeSet::new();
             for _ in 0..r.u32()? {
                 acked_offsets.insert(r.u64()?);
             }
@@ -1841,7 +1788,7 @@ impl PonyEngine {
             let stream = r.u32()?;
             let msg = r.u64()?;
             let total = r.u64()?;
-            let mut offsets = HashSet::new();
+            let mut offsets = BTreeSet::new();
             let mut received = 0u64;
             let n = r.u32()?;
             for _ in 0..n {
@@ -1893,5 +1840,69 @@ impl PonyEngine {
             engine.session_watermarks.insert(sid, wm);
         }
         Ok(engine)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snap_nic::fabric::FabricConfig;
+    use snap_nic::nic::NicConfig;
+    use snap_shm::account::MemoryAccountant;
+
+    #[test]
+    fn checkpoint_round_trips_byte_identically_mid_stream() {
+        let mut sim = Sim::new();
+        let fabric = FabricHandle::new(FabricConfig::default());
+        let (a, b) = (
+            fabric.add_host(NicConfig::default()),
+            fabric.add_host(NicConfig::default()),
+        );
+        let regions = RegionRegistry::new(MemoryAccountant::new());
+        let sessions: SessionTable = Rc::new(RefCell::new(HashMap::new()));
+        let cfg = |name: &str, host, key| PonyEngineConfig::new(name, host, key);
+        let engine = |c| PonyEngine::new(c, fabric.clone(), regions.clone(), sessions.clone());
+        let (mut tx, mut rx) = (engine(cfg("tx", a, 1)), engine(cfg("rx", b, 2)));
+        let version = crate::wire::MAX_WIRE_VERSION;
+        for conn in [7, 3] {
+            tx.establish_conn(conn, b, 2, version, None);
+            rx.establish_conn(conn, a, 1, version, None);
+        }
+        // Three-chunk messages on two streams of each connection.
+        let mut op = 0;
+        for conn in [7, 3] {
+            for stream in [0, 1] {
+                for _ in 0..4 {
+                    op += 1;
+                    let send = PonyCommand::Send { conn, stream, len: 4000 };
+                    tx.handle_command(sim.now(), op, QosClass::Transport, None, send, 9);
+                }
+            }
+        }
+        // Run until sends are in flight and a receive is half assembled.
+        let mid_stream = |tx: &PonyEngine, rx: &PonyEngine| {
+            !tx.send_msgs.is_empty()
+                && rx.recv_msgs.values().any(|r| r.received > 0 && r.received < r.total)
+        };
+        while !mid_stream(&tx, &rx) {
+            assert!(sim.now() < Nanos::from_millis(1), "never reached mid-stream");
+            tx.run(&mut sim);
+            rx.run(&mut sim);
+            sim.run_until(sim.now() + Nanos(500));
+        }
+        assert_eq!(tx.conn_count(), 2);
+        for (engine, c) in [(&mut tx, cfg("tx", a, 1)), (&mut rx, cfg("rx", b, 2))] {
+            let state = engine.serialize_state();
+            let mut restored = PonyEngine::restore(
+                &state,
+                c,
+                fabric.clone(),
+                regions.clone(),
+                sessions.clone(),
+                sim.now(),
+            )
+            .expect("checkpoint restores");
+            assert_eq!(restored.serialize_state(), state);
+        }
     }
 }

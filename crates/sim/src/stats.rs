@@ -248,45 +248,6 @@ impl Histogram {
     }
 }
 
-/// Accumulates busy time to report CPU cores consumed, as in Fig. 6(b)'s
-/// "CPU/sec" metric (1.0 = one hardware thread fully busy).
-#[derive(Debug, Clone, Default)]
-pub struct CpuMeter {
-    busy: Nanos,
-}
-
-impl CpuMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a slice of busy time.
-    pub fn add(&mut self, t: Nanos) {
-        self.busy += t;
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy(&self) -> Nanos {
-        self.busy
-    }
-
-    /// Average cores consumed over a measurement window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is zero.
-    pub fn cores_over(&self, window: Nanos) -> f64 {
-        assert!(!window.is_zero(), "zero measurement window");
-        self.busy.as_nanos() as f64 / window.as_nanos() as f64
-    }
-
-    /// Resets to idle.
-    pub fn reset(&mut self) {
-        self.busy = Nanos::ZERO;
-    }
-}
-
 /// A windowed rate counter for time-series output (Fig. 8's per-minute
 /// IOPS dashboard).
 #[derive(Debug, Clone)]
@@ -517,16 +478,6 @@ mod tests {
         r.record(42);
         let d = r.diff(&snap);
         assert_eq!(d.count(), 1);
-    }
-
-    #[test]
-    fn cpu_meter_cores() {
-        let mut m = CpuMeter::new();
-        m.add(Nanos::from_millis(500));
-        m.add(Nanos::from_millis(250));
-        assert!((m.cores_over(Nanos::from_secs(1)) - 0.75).abs() < 1e-9);
-        m.reset();
-        assert_eq!(m.busy(), Nanos::ZERO);
     }
 
     #[test]

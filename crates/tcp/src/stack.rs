@@ -16,7 +16,6 @@ use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::{HostId, Packet, QosClass};
 use snap_sim::codec::{Reader, Writer};
 use snap_sim::costs;
-use snap_sim::stats::CpuMeter;
 use snap_sim::{Nanos, Sim};
 
 use snap_sched::classes::SchedClass;
@@ -131,7 +130,7 @@ struct Inner {
     cfg: TcpConfig,
     conns: HashMap<ConnKey, Connection>,
     on_message: Option<OnMessage>,
-    cpu: CpuMeter,
+    cpu_busy: Nanos,
     stats: TcpStats,
     next_conn: u32,
 }
@@ -185,7 +184,7 @@ impl TcpHost {
                 cfg,
                 conns: HashMap::new(),
                 on_message: None,
-                cpu: CpuMeter::new(),
+                cpu_busy: Nanos::ZERO,
                 stats: TcpStats::default(),
                 next_conn: 1,
             })),
@@ -246,7 +245,7 @@ impl TcpHost {
             inner.stats.msgs_sent += 1;
             // Syscall entry cost (one per sendmsg; copies charged per
             // segment as they are cut).
-            inner.cpu.add(Nanos(costs::SYSCALL_NS));
+            inner.cpu_busy += Nanos(costs::SYSCALL_NS);
             let c = inner
                 .conns
                 .get_mut(&conn)
@@ -259,7 +258,7 @@ impl TcpHost {
 
     /// CPU consumed by this stack (app syscalls/copies + softirq).
     pub fn cpu_busy(&self) -> Nanos {
-        self.inner.borrow().cpu.busy()
+        self.inner.borrow().cpu_busy
     }
 
     /// Counters snapshot.
@@ -319,7 +318,7 @@ impl TcpHost {
             inner.stats.segs_sent += 1;
             // Charge the sender-side serial cost (stack + tx copy).
             let cost = inner.side_cost(seg_len);
-            inner.cpu.add(cost);
+            inner.cpu_busy += cost;
 
             let mut w = Writer::with_capacity(64);
             w.u8(KIND_DATA)
@@ -398,7 +397,7 @@ impl TcpHost {
                 inner.stats.retransmits += 1;
                 inner.stats.segs_sent += 1;
                 let cost = inner.side_cost(seg_len);
-                inner.cpu.add(cost);
+                inner.cpu_busy += cost;
                 let host = inner.host;
                 let Some(c) = inner.conns.get(&conn) else {
                     return;
@@ -440,7 +439,7 @@ impl TcpHost {
         if pkts.is_empty() {
             return;
         }
-        self.inner.borrow_mut().cpu.add(Nanos(costs::INTERRUPT_NS));
+        self.inner.borrow_mut().cpu_busy += Nanos(costs::INTERRUPT_NS);
         for pkt in pkts {
             self.process_packet(sim, pkt);
         }
@@ -466,7 +465,7 @@ impl TcpHost {
             let mut inner = self.inner.borrow_mut();
             // Receiver-side serial cost: softirq protocol + rx copy.
             let cost = inner.side_cost(seg_len);
-            inner.cpu.add(cost);
+            inner.cpu_busy += cost;
             let c = inner
                 .conns
                 .entry(conn)
@@ -529,7 +528,7 @@ impl TcpHost {
                         SchedClass::Cfs { nice: 0 },
                         Some(conn),
                     );
-                    inner.cpu.add(Nanos(costs::CONTEXT_SWITCH_NS));
+                    inner.cpu_busy += Nanos(costs::CONTEXT_SWITCH_NS);
                     lat
                 };
                 (lat, inner.on_message.clone())

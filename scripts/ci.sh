@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# The tier-1 gate, exactly as the roadmap defines it: release build,
-# full test suite, clippy clean across every target. Run before every
+# The tier-1 gate: release build, every workspace test plus the
+# benchmark's tests, clippy clean across every target. Run before every
 # merge; everything is deterministic (seeded virtual time), so a green
 # run here is a green run anywhere.
 #
-#   ci.sh            — build + test + clippy
+#   ci.sh            — build + tests + clippy
 #
 # PROPTEST_CASES can be exported to shrink or grow the property-test
 # budget (default 64 cases per property).
@@ -15,8 +15,14 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test =="
-cargo test -q
+echo "== tier-1: cargo test --workspace =="
+cargo test --workspace -q
+
+# The benchmark's own checks (exactly-once ops, packet conservation,
+# same-seed repeatability) on shortened episodes, so a refactor that
+# breaks them fails here rather than in a benchmark run.
+echo "== tier-1: perfbench tests =="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets -- -D warnings
