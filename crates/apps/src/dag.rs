@@ -20,10 +20,11 @@
 //! the identical spec runs unmodified over kernel TCP or Pony.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use snap_sim::codec::{Reader, Writer};
 use snap_sim::dist::{self, DiurnalLoad};
+use snap_sim::hash::HashMap;
 use snap_sim::stats::Histogram;
 use snap_sim::trace::{Stage, TraceContext, TraceRecorder};
 use snap_sim::{Nanos, Rng, Sim};
@@ -367,7 +368,7 @@ impl DagRuntime {
         let root = Rng::new(seed ^ 0xda6_0001);
         Ok(DagRuntime {
             children_of,
-            insts: HashMap::new(),
+            insts: HashMap::default(),
             next_inst: 1,
             queues: vec![VecDeque::new(); n],
             busy: vec![0; n],

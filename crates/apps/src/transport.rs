@@ -30,10 +30,10 @@
 )]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use snap_pony::client::{OpStatus, PonyClient, PonyCommand, PonyCompletion};
+use snap_sim::hash::HashMap;
 use snap_sim::{Nanos, Sim};
 use snap_tcp::stack::TcpHost;
 
@@ -124,7 +124,7 @@ impl PonyTransport {
     pub fn new(client: PonyClient) -> Self {
         PonyTransport {
             client,
-            ops: HashMap::new(),
+            ops: HashMap::default(),
         }
     }
 }
@@ -189,7 +189,7 @@ pub struct TcpRouter {
 impl TcpRouter {
     /// Wraps `tcp` and takes over its delivery callback.
     pub fn new(tcp: TcpHost) -> Self {
-        let sinks: Rc<RefCell<HashMap<u64, Sink>>> = Rc::new(RefCell::new(HashMap::new()));
+        let sinks: Rc<RefCell<HashMap<u64, Sink>>> = Rc::default();
         let by_conn = sinks.clone();
         tcp.on_message(Rc::new(move |_sim, conn, msg_id, _len| {
             if let Some(sink) = by_conn.borrow().get(&conn) {

@@ -106,6 +106,39 @@ pub trait Engine {
     fn as_any(&mut self) -> &mut dyn std::any::Any;
 }
 
+/// What an engine slot holds while its engine is out: taken for a pass,
+/// detaching, crashed or migrating. It has no state and is never
+/// scheduled; being zero-sized, boxing it allocates nothing.
+pub(crate) struct VacantEngine;
+
+impl Engine for VacantEngine {
+    fn name(&self) -> &str {
+        "vacant"
+    }
+
+    fn run(&mut self, _sim: &mut Sim) -> RunReport {
+        RunReport::idle(Nanos(snap_sim::costs::ENGINE_POLL_PASS_NS))
+    }
+
+    fn pending_work(&self) -> usize {
+        0
+    }
+
+    fn oldest_pending_age(&self, _now: Nanos) -> Nanos {
+        Nanos::ZERO
+    }
+
+    fn serialize_state(&mut self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn detach(&mut self, _sim: &mut Sim) {}
+
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 /// A trivial engine that drains a closure-fed work counter; used by
 /// framework tests and as the simplest possible example of the trait.
 pub struct CountingEngine {

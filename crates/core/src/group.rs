@@ -34,7 +34,7 @@ use snap_sim::{Nanos, Sim};
 use snap_sched::classes::{MicroQuantaBudget, SchedClass};
 use snap_sched::machine::{CoreId, Machine};
 
-use crate::engine::{Engine, EngineId, RunReport};
+use crate::engine::{Engine, EngineId, RunReport, VacantEngine};
 use crate::module::ControlError;
 
 /// Shared machine handle (matches `snap_sched::antagonist::MachineHandle`).
@@ -236,6 +236,9 @@ pub struct EngineGroup {
     /// blocked one. The per-mode distribution behind the trace layer's
     /// engine-dequeue gap and Fig. 3's latency/CPU trade-off.
     sched_delay: Histogram,
+    /// Reusable copy of a worker's engine ids for one pass, so the pass
+    /// allocates nothing (a nested pass finds it taken and uses its own).
+    pass_ids: Vec<EngineId>,
 }
 
 impl EngineGroup {
@@ -280,6 +283,7 @@ impl GroupHandle {
                 slowdown: Vec::new(),
                 retry_rng: snap_sim::Rng::new(0x6261_636b).stream(0x6f_6666),
                 sched_delay: Histogram::new(),
+                pass_ids: Vec::new(),
             })),
         }
     }
@@ -478,11 +482,12 @@ impl GroupHandle {
         // fabric events; those only fire later, but they may also call
         // wake handles which defer through the event queue).
         let engine_ids = {
-            let g = self.inner.borrow();
-            match g.workers.get(worker_idx) {
-                Some(w) => w.engines.clone(),
-                None => return,
-            }
+            let g = &mut *self.inner.borrow_mut();
+            let Some(w) = g.workers.get(worker_idx) else { return };
+            let mut ids = std::mem::take(&mut g.pass_ids);
+            ids.clear();
+            ids.extend_from_slice(&w.engines);
+            ids
         };
         let now = sim.now();
         let mut total_cpu = Nanos::ZERO;
@@ -501,10 +506,11 @@ impl GroupHandle {
                 let factor = g.slowdown[id.0 as usize];
                 g.slots[id.0 as usize].as_mut().map(|slot| {
                     let mb = slot.mailbox.take();
-                    (std::mem::replace(
-                        &mut slot.engine,
-                        Box::new(crate::engine::CountingEngine::new("placeholder", Nanos(0))),
-                    ), mb, factor)
+                    (
+                        std::mem::replace(&mut slot.engine, Box::new(VacantEngine)),
+                        mb,
+                        factor,
+                    )
                 })
             };
             let Some((mut engine, mailbox, factor)) = taken else { continue };
@@ -521,9 +527,9 @@ impl GroupHandle {
             total_cpu += report.cpu;
             any_work |= report.work_done;
             any_pending |= report.pending > 0;
-            let container = engine.container().to_string();
             let mut g = self.inner.borrow_mut();
-            g.accountant.charge(&container, report.cpu.as_nanos());
+            g.accountant
+                .charge(engine.container(), report.cpu.as_nanos());
             g.engine_cpu[id.0 as usize] += report.cpu;
             if let Some(slot) = g.slots[id.0 as usize].as_mut() {
                 slot.engine = engine;
@@ -595,6 +601,7 @@ impl GroupHandle {
                 self.maybe_arm_idle_block(sim, worker_idx);
             }
         }
+        self.inner.borrow_mut().pass_ids = engine_ids;
     }
 
     /// For compacting mode: after `idle_block` of idle spinning, the
@@ -938,7 +945,7 @@ impl GroupHandle {
             g.suspended[id.0 as usize] = true;
             std::mem::replace(
                 &mut g.slots[id.0 as usize].as_mut().expect("checked").engine,
-                Box::new(crate::engine::CountingEngine::new("detached", Nanos(0))),
+                Box::new(VacantEngine),
             )
         };
         // Detach outside the borrow: the hook may drive the simulator.
@@ -981,7 +988,7 @@ impl GroupHandle {
             g.crashed[id.0 as usize] = true;
             let slot = g.slots[id.0 as usize].as_mut().expect("checked");
             // Drop the engine: a crash loses all in-memory state.
-            slot.engine = Box::new(crate::engine::CountingEngine::new("crashed", Nanos(0)));
+            slot.engine = Box::new(VacantEngine);
             slot.mailbox = None;
         }
     }
@@ -1057,7 +1064,7 @@ impl GroupHandle {
             .take()
             .map(|s| {
                 g.slots[id.0 as usize] = Some(Slot {
-                    engine: Box::new(crate::engine::CountingEngine::new("migrating", Nanos(0))),
+                    engine: Box::new(VacantEngine),
                     worker: s.worker,
                     mailbox: None,
                     last_report: s.last_report.clone(),
@@ -1678,7 +1685,10 @@ mod tests {
         // Work and wakes against the corpse do nothing.
         g.wake(&mut sim, id);
         sim.run();
-        assert_eq!(processed(&g, id), 0, "crashed engine lost its state");
+        assert!(
+            g.with_engine(id, |e| e.as_any().is::<VacantEngine>()),
+            "crashed engine lost its state"
+        );
         // Supervisor-style revival: install a successor and resume.
         let mut revived = CountingEngine::new("e0-r", Nanos(500));
         revived.inject(sim.now());

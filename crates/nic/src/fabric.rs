@@ -39,10 +39,11 @@
 //! single-threaded [`Sim`] event loop via a cloneable [`FabricHandle`].
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use snap_sim::costs;
+use snap_sim::hash::{HashMap, HashSet};
 use snap_sim::time::transmit_time;
 use snap_sim::trace::{Stage, TraceRecorder};
 use snap_sim::{Nanos, Rng, Sim};
@@ -307,6 +308,8 @@ pub struct Fabric {
     /// stage records against packets that carry a trace context but
     /// never changes timing, RNG draws, or drop decisions.
     recorder: Option<TraceRecorder>,
+    /// Reusable buffer for the rx queues a delivered train interrupts.
+    irq_buf: Vec<u16>,
 }
 
 fn norm_pair(a: HostId, b: HostId) -> (HostId, HostId) {
@@ -321,25 +324,26 @@ impl Fabric {
             cfg,
             topo,
             hosts: Vec::new(),
-            hosts_in_rack: HashMap::new(),
-            trunk_ports: HashMap::new(),
-            down_trunks: HashSet::new(),
-            leaf_brownout: HashMap::new(),
-            trunk_stats: HashMap::new(),
+            hosts_in_rack: HashMap::default(),
+            trunk_ports: HashMap::default(),
+            down_trunks: HashSet::default(),
+            leaf_brownout: HashMap::default(),
+            trunk_stats: HashMap::default(),
             switch_drops_by: BTreeMap::new(),
-            partitions: HashSet::new(),
-            oneway_partitions: HashSet::new(),
-            links: HashMap::new(),
-            queue_stalls: HashMap::new(),
-            fault_drops: HashMap::new(),
-            lossy_links: HashMap::new(),
-            jitter_links: HashMap::new(),
-            quarantined_links: HashSet::new(),
-            paused_until: HashMap::new(),
+            partitions: HashSet::default(),
+            oneway_partitions: HashSet::default(),
+            links: HashMap::default(),
+            queue_stalls: HashMap::default(),
+            fault_drops: HashMap::default(),
+            lossy_links: HashMap::default(),
+            jitter_links: HashMap::default(),
+            quarantined_links: HashSet::default(),
+            paused_until: HashMap::default(),
             rng,
             gray_rng,
             stats: FabricStats::default(),
             recorder: None,
+            irq_buf: Vec::new(),
         }
     }
 
@@ -1144,7 +1148,8 @@ impl FabricHandle {
         let handle = self.clone();
         sim.schedule_at(sim.now() + prop + dma, move |sim| {
             let (irqs, handler) = {
-                let mut fabric = handle.inner.borrow_mut();
+                let mut guard = handle.inner.borrow_mut();
+                let fabric = &mut *guard;
                 let now = sim.now();
                 for pkt in &pkts {
                     let link = fabric.links.entry((pkt.src, pkt.dst)).or_default();
@@ -1162,15 +1167,18 @@ impl FabricHandle {
                 else {
                     return;
                 };
-                (host.nic.deliver_burst(pkts), host.nic.irq_handler())
+                let mut irqs = std::mem::take(&mut fabric.irq_buf);
+                host.nic.deliver_burst(pkts, &mut irqs);
+                (irqs, host.nic.irq_handler())
             };
             // Invoke interrupts outside the fabric borrow so handlers
             // can freely poll the NIC.
             if let Some(handler) = handler {
-                for queue in irqs {
+                for &queue in &irqs {
                     handler(sim, queue);
                 }
             }
+            handle.inner.borrow_mut().irq_buf = irqs;
         });
     }
 }

@@ -12,11 +12,12 @@
 //! packet-level or byte-streaming sockets interface."
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use snap_nic::packet::QosClass;
 use snap_shm::queue_pair::AppEndpoint;
+use snap_sim::hash::HashMap;
 use snap_sim::trace::{TraceContext, TraceRecorder};
 use snap_sim::{Nanos, Rng, Sim};
 
@@ -403,7 +404,7 @@ impl PonyClient {
             cfg,
             rng,
             window: VecDeque::new(),
-            outstanding: HashMap::new(),
+            outstanding: HashMap::default(),
             stats: HedgeStats::default(),
         });
     }
@@ -630,7 +631,7 @@ mod tests {
                 },
                 rng: Rng::new(1),
                 window: VecDeque::new(),
-                outstanding: HashMap::new(),
+                outstanding: HashMap::default(),
                 stats: HedgeStats::default(),
             };
             for i in 0..(HEDGE_MIN_SAMPLES as u64 * 2) {

@@ -22,7 +22,7 @@
 //! shared memory in brownout and state in blackout (§4).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -35,6 +35,7 @@ use snap_shm::queue_pair::EngineEndpoint;
 use snap_shm::region::{RegionError, RegionRegistry};
 use snap_sim::codec::{DecodeError, Reader, Writer};
 use snap_sim::costs;
+use snap_sim::hash::HashMap;
 use snap_sim::trace::{Stage, TraceContext, TraceRecorder};
 use snap_sim::{Nanos, Sim};
 
@@ -55,7 +56,7 @@ pub const INITIAL_CREDITS: u32 = 64;
 /// hand the same sessions to the successor engine — the analogue of
 /// transferring fds over the control channel during brownout.
 pub type SessionTable =
-    Rc<RefCell<HashMap<u64, EngineEndpoint<PonyCommandTuple, PonyCompletion>>>>;
+    Rc<RefCell<std::collections::HashMap<u64, EngineEndpoint<PonyCommandTuple, PonyCompletion>>>>;
 
 /// Callback that re-schedules an engine pass — used by self-arming
 /// pacing/RTO timers.
@@ -129,6 +130,8 @@ pub struct PonyStats {
     /// Early retransmits triggered by hedge duplicates (the hedge's
     /// actual recovery action on the wire).
     pub hedge_retransmits: u64,
+    /// Packets re-queued because their retransmission timeout expired.
+    pub rto_retransmits: u64,
 }
 
 struct ConnState {
@@ -226,6 +229,16 @@ pub struct PonyEngine {
     // within a train, checkpoint bytes) are ordered, so the same seed
     // gives the same run; lookup-only maps stay hashed.
     flows: BTreeMap<u64, Flow>,
+    /// Flows that may have work: a superset of those with queued
+    /// frames, a retransmit, an owed ack or packets in flight. Every
+    /// site that gives a flow work inserts it; the end of each pass
+    /// drops the flows gone idle. The per-pass flow loops visit only
+    /// these, in key order — the order they would have in `flows`.
+    active: BTreeSet<u64>,
+    /// Connections with streams queued for the send scheduler: a
+    /// superset of those with a non-empty `stream_queue`, pruned by
+    /// `fill_flows` itself.
+    fill_ready: BTreeSet<u64>,
     /// Flow id -> (remote host, remote engine key).
     flow_peers: HashMap<u64, (HostId, u64)>,
     conns: BTreeMap<u64, ConnState>,
@@ -265,6 +278,8 @@ pub struct PonyEngine {
     resp_traces: HashMap<u64, TraceContext>,
     rx_buf: Vec<Packet>,
     cmd_buf: Vec<PonyCommandTuple>,
+    /// Reusable buffer for the seqs each received packet acks.
+    acked_buf: Vec<u64>,
     /// Reusable wire-encode scratch: frames encode into this buffer
     /// (capacity persists across packets) and CRC32C is computed over
     /// it before the payload is materialized, so the tx path does no
@@ -295,9 +310,11 @@ impl PonyEngine {
             regions,
             sessions,
             flows: BTreeMap::new(),
-            flow_peers: HashMap::new(),
+            active: BTreeSet::new(),
+            fill_ready: BTreeSet::new(),
+            flow_peers: HashMap::default(),
             conns: BTreeMap::new(),
-            seq_chunks: HashMap::new(),
+            seq_chunks: HashMap::default(),
             send_msgs: BTreeMap::new(),
             recv_msgs: BTreeMap::new(),
             pending_ops: BTreeMap::new(),
@@ -309,9 +326,10 @@ impl PonyEngine {
             admission: None,
             charged_bytes: 0,
             recorder: None,
-            resp_traces: HashMap::new(),
+            resp_traces: HashMap::default(),
             rx_buf: Vec::new(),
             cmd_buf: Vec::new(),
+            acked_buf: Vec::new(),
             tx_scratch: Writer::new(),
             tx_batch: Vec::new(),
             detached: false,
@@ -477,6 +495,7 @@ impl PonyEngine {
             self.flows
                 .insert(flow, Flow::new(flow, version, self.cfg.cc.clone()));
             self.flow_peers.insert(flow, (remote_host, remote_engine));
+            self.active.insert(flow);
         }
         self.conns.insert(
             conn,
@@ -627,17 +646,29 @@ impl PonyEngine {
         if q.len() == 1 && !conn.stream_queue.contains(&stream) {
             conn.stream_queue.push_back(stream);
         }
+        self.fill_ready.insert(conn_id);
+    }
+
+    /// Queues a frame on a flow and marks the flow active.
+    fn enqueue(&mut self, flow_id: u64, frame: OpFrame, now: Nanos) {
+        if let Some(flow) = self.flows.get_mut(&flow_id) {
+            flow.enqueue(frame, now);
+            self.active.insert(flow_id);
+        }
     }
 
     /// The send scheduler: tops up each flow's outbound queue from its
     /// connections' pending sends — one chunk per *stream* per round,
     /// FIFO within a stream — so concurrent streams interleave without
-    /// head-of-line blocking each other (§3.3).
+    /// head-of-line blocking each other (§3.3). Visits only the
+    /// connections in `fill_ready`, in key order, and drops those whose
+    /// streams it drained.
     fn fill_flows(&mut self, now: Nanos) {
         const OUTQ_TARGET: usize = 64;
         let mtu = self.cfg.mtu as u64;
-        for (&conn_id, conn) in self.conns.iter_mut() {
-            let Some(flow) = self.flows.get_mut(&conn.flow) else { continue };
+        self.fill_ready.retain(|&conn_id| {
+            let Some(conn) = self.conns.get_mut(&conn_id) else { return false };
+            let Some(flow) = self.flows.get_mut(&conn.flow) else { return true };
             while flow.pending_tx() < OUTQ_TARGET {
                 let Some(stream) = conn.stream_queue.pop_front() else { break };
                 let Some(msgs) = conn.per_stream.get_mut(&stream) else { continue };
@@ -666,6 +697,7 @@ impl PonyEngine {
                     },
                     now,
                 );
+                self.active.insert(conn.flow);
                 if send.next_offset >= send.total {
                     msgs.pop_front();
                 }
@@ -676,7 +708,8 @@ impl PonyEngine {
                     conn.stream_queue.push_back(stream);
                 }
             }
-        }
+            !conn.stream_queue.is_empty()
+        });
     }
 
     /// Retries held sends after flow-control state improved.
@@ -728,8 +761,11 @@ impl PonyEngine {
             self.stats.hedge_dups += 1;
             self.finish_trace(trace, now);
             let flow_id = self.conns.get(&cmd_conn(&cmd)).map(|c| c.flow);
-            if let Some(flow) = flow_id.and_then(|fid| self.flows.get_mut(&fid)) {
-                self.stats.hedge_retransmits += flow.hedge_retransmit(now) as u64;
+            if let Some(fid) = flow_id {
+                if let Some(flow) = self.flows.get_mut(&fid) {
+                    self.stats.hedge_retransmits += flow.hedge_retransmit(now) as u64;
+                    self.active.insert(fid);
+                }
             }
             return Nanos(costs::PONY_PER_OP_NS);
         }
@@ -851,9 +887,7 @@ impl PonyEngine {
                 if let Some(c) = self.conns.get_mut(&conn) {
                     c.local_posted += count;
                     let flow_id = c.flow;
-                    if let Some(flow) = self.flows.get_mut(&flow_id) {
-                        flow.enqueue(OpFrame::BufferPost { conn, count }, now);
-                    }
+                    self.enqueue(flow_id, OpFrame::BufferPost { conn, count }, now);
                 }
                 // Buffer posts complete immediately.
                 self.finish_trace(trace, now);
@@ -906,10 +940,7 @@ impl PonyEngine {
                 trace,
             },
         );
-        self.flows
-            .get_mut(&flow_id)
-            .expect("conn flow exists")
-            .enqueue(frame, now);
+        self.enqueue(flow_id, frame, now);
     }
 
     /// Executes a one-sided request against local regions, entirely in
@@ -1025,17 +1056,15 @@ impl PonyEngine {
         if let Some(ctx) = trace {
             self.resp_traces.insert(op, ctx);
         }
-        self.flows
-            .get_mut(&flow_id)
-            .expect("request came from this flow")
-            .enqueue(
-                OpFrame::OneSidedResp {
-                    op,
-                    status,
-                    data: data.into(),
-                },
-                now,
-            );
+        self.enqueue(
+            flow_id,
+            OpFrame::OneSidedResp {
+                op,
+                status,
+                data: data.into(),
+            },
+            now,
+        );
         cpu
     }
 
@@ -1165,8 +1194,8 @@ impl PonyEngine {
 
     /// Processes seqs newly acked by the peer: completes sends whose
     /// chunks are all acknowledged, returning small-message credits.
-    fn process_acked(&mut self, now: Nanos, acked: Vec<u64>, flow_id: u64) {
-        for seq in acked {
+    fn process_acked(&mut self, now: Nanos, acked: &[u64], flow_id: u64) {
+        for &seq in acked {
             let Some((conn, stream, msg, offset)) = self.seq_chunks.remove(&(flow_id, seq))
             else {
                 continue;
@@ -1223,7 +1252,8 @@ impl PonyEngine {
         let max = budget.min(slots);
         let mut batch = std::mem::take(&mut self.tx_batch);
         batch.clear();
-        'outer: for (&fid, flow) in self.flows.iter_mut() {
+        'outer: for &fid in &self.active {
+            let Some(flow) = self.flows.get_mut(&fid) else { continue };
             loop {
                 if batch.len() >= max {
                     break 'outer;
@@ -1315,24 +1345,52 @@ impl PonyEngine {
         (cpu, sent)
     }
 
-    /// Earliest pacing/RTO deadline across flows.
-    fn earliest_deadline(&self, now: Nanos) -> Option<Nanos> {
+    /// Drops the flows gone idle from `active`, and reads off the rest
+    /// the earliest pacing/RTO deadline and the frames pacing lets out
+    /// now. Idle flows have neither.
+    fn prune_active(&mut self, now: Nanos) -> (Option<Nanos>, usize) {
         let mut earliest: Option<Nanos> = None;
-        for flow in self.flows.values() {
-            if let Some(d) = flow.next_pacing_deadline(now) {
+        let mut sendable = 0;
+        self.active.retain(|fid| {
+            let Some(flow) = self.flows.get(fid) else { return false };
+            if flow.is_idle() {
+                return false;
+            }
+            let pacing = flow.next_pacing_deadline(now);
+            if matches!(pacing, Some(d) if d <= now) {
+                sendable += flow.pending_tx();
+            }
+            for d in [pacing, flow.next_rto_deadline()].into_iter().flatten() {
                 earliest = Some(earliest.map_or(d, |e: Nanos| e.min(d)));
             }
-            if let Some(d) = flow.next_rto_deadline() {
-                earliest = Some(earliest.map_or(d, |e: Nanos| e.min(d)));
-            }
-        }
-        earliest
+            true
+        });
+        (earliest, sendable)
     }
 
-    /// Arms a timer at the earliest pacing/RTO deadline across flows.
-    fn arm_timer(&mut self, sim: &mut Sim) {
+    /// Every flow outside `active` is idle and every connection outside
+    /// `fill_ready` has no stream queued: the sets miss no work.
+    #[cfg(debug_assertions)]
+    fn check_active_sets(&self) {
+        for (fid, flow) in &self.flows {
+            assert!(
+                self.active.contains(fid) || flow.is_idle(),
+                "flow {fid} has work but is not active"
+            );
+        }
+        for (cid, conn) in &self.conns {
+            assert!(
+                self.fill_ready.contains(cid) || conn.stream_queue.is_empty(),
+                "connection {cid} has streams queued but is not fill-ready"
+            );
+        }
+    }
+
+    /// Arms a timer at `deadline`, the earliest pacing/RTO deadline
+    /// across flows.
+    fn arm_timer(&mut self, sim: &mut Sim, deadline: Option<Nanos>) {
         let now = sim.now();
-        let Some(deadline) = self.earliest_deadline(now) else { return };
+        let Some(deadline) = deadline else { return };
         let deadline = deadline.max(now + Nanos(1));
         if let Some((at, handle)) = &self.timer {
             if *at <= deadline {
@@ -1393,6 +1451,8 @@ impl Engine for PonyEngine {
                 continue;
             };
             let flow_id = ppkt.flow;
+            // Receiving may owe an ack; acks and frames may queue more.
+            self.active.insert(flow_id);
             // Remote-initiated flows materialize on first packet; the
             // peer's engine key is recoverable from the steering info.
             if !self.flows.contains_key(&flow_id) {
@@ -1407,8 +1467,10 @@ impl Engine for PonyEngine {
             }
             let flow = self.flows.get_mut(&flow_id).expect("just ensured");
             let ptrace = ppkt.trace;
-            let (accept, acked) = flow.on_packet_tracked(&ppkt, now);
-            self.process_acked(now, acked, flow_id);
+            let mut acked = std::mem::take(&mut self.acked_buf);
+            let accept = flow.on_packet_tracked(&ppkt, now, &mut acked);
+            self.process_acked(now, &acked, flow_id);
+            self.acked_buf = acked;
             if let Accept::Deliver(frame) = accept {
                 // A traced packet reached this engine's poll loop: the
                 // remote-dequeue stamp (NIC delivery -> engine pickup).
@@ -1421,8 +1483,8 @@ impl Engine for PonyEngine {
         // 2. Poll this engine's application command queues (bounded
         // batch). Other engines' sessions live in the same table but
         // are not ours to drain.
-        let session_ids = self.owned_sessions.clone();
-        for sid in session_ids {
+        for i in 0..self.owned_sessions.len() {
+            let sid = self.owned_sessions[i];
             self.cmd_buf.clear();
             let mut cmds = std::mem::take(&mut self.cmd_buf);
             {
@@ -1439,10 +1501,10 @@ impl Engine for PonyEngine {
         }
 
         // 3. RTO checks.
-        for flow in self.flows.values_mut() {
-            if flow.check_rto(now) > 0 {
-                work = true;
-            }
+        for fid in &self.active {
+            let expired = self.flows.get_mut(fid).map_or(0, |f| f.check_rto(now));
+            self.stats.rto_retransmits += expired as u64;
+            work |= expired > 0;
         }
 
         // 4. Send scheduler + just-in-time packet generation.
@@ -1452,13 +1514,15 @@ impl Engine for PonyEngine {
         work |= sent > 0;
 
         // 5. Arm pacing/RTO timers for future work.
-        self.arm_timer(sim);
+        let (next_deadline, sendable) = self.prune_active(now);
+        self.arm_timer(sim, next_deadline);
+        #[cfg(debug_assertions)]
+        self.check_active_sets();
 
         // Report only *actionable* work: frames held back by pacing or
         // RTO wait on their timers and must not busy-loop the worker
         // (the armed timer wakes us; rx/commands/sendable frames do
         // warrant an immediate next pass).
-        let now = sim.now();
         let rx = self
             .fabric
             .with_nic(self.cfg.host, |nic| nic.rx_pending(self.cfg.queue));
@@ -1470,13 +1534,6 @@ impl Engine for PonyEngine {
                 .map(|ep| ep.commands_pending())
                 .sum()
         };
-        let sendable: usize = self
-            .flows
-            .values()
-            .filter(|f| matches!(f.next_pacing_deadline(now), Some(d) if d <= now))
-            .map(|f| f.pending_tx())
-            .sum();
-        let next_deadline = self.earliest_deadline(now);
         RunReport {
             cpu,
             work_done: work,
@@ -1487,7 +1544,12 @@ impl Engine for PonyEngine {
 
     fn pending_work(&self) -> usize {
         let rx = self.fabric.with_nic(self.cfg.host, |nic| nic.rx_pending(self.cfg.queue));
-        let tx: usize = self.flows.values().map(|f| f.pending_tx()).sum();
+        let tx: usize = self
+            .active
+            .iter()
+            .filter_map(|fid| self.flows.get(fid))
+            .map(|f| f.pending_tx())
+            .sum();
         let sends: usize = self
             .conns
             .values()
@@ -1505,8 +1567,9 @@ impl Engine for PonyEngine {
     }
 
     fn oldest_pending_age(&self, now: Nanos) -> Nanos {
-        self.flows
-            .values()
+        self.active
+            .iter()
+            .filter_map(|fid| self.flows.get(fid))
             .map(|f| f.oldest_pending_age(now))
             .max()
             .unwrap_or(Nanos::ZERO)
@@ -1721,6 +1784,7 @@ impl PonyEngine {
                 let len = r.u64()?;
                 ready.insert((s, m), len);
             }
+            engine.fill_ready.insert(id);
             engine.conns.insert(
                 id,
                 ConnState {
@@ -1750,6 +1814,7 @@ impl PonyEngine {
             engine.flow_peers.insert(flow.id, (host, key));
             // Rebuild the mapper so future conns reuse these flows.
             engine.mapper.flow_for(host, key);
+            engine.active.insert(flow.id);
             engine.flows.insert(flow.id, flow);
         }
         let nsend = r.u32()?;
@@ -1859,7 +1924,7 @@ mod tests {
             fabric.add_host(NicConfig::default()),
         );
         let regions = RegionRegistry::new(MemoryAccountant::new());
-        let sessions: SessionTable = Rc::new(RefCell::new(HashMap::new()));
+        let sessions: SessionTable = SessionTable::default();
         let cfg = |name: &str, host, key| PonyEngineConfig::new(name, host, key);
         let engine = |c| PonyEngine::new(c, fabric.clone(), regions.clone(), sessions.clone());
         let (mut tx, mut rx) = (engine(cfg("tx", a, 1)), engine(cfg("rx", b, 2)));

@@ -62,6 +62,10 @@ pub struct Flow {
     next_seq: u64,
     /// Un-acked packets by seq.
     inflight: BTreeMap<u64, InFlight>,
+    /// The RTO index: `(sent_at, seq)` of every packet in `inflight`,
+    /// so the oldest — the next to expire, since one RTO applies to
+    /// all — is the first entry.
+    by_sent: BTreeSet<(Nanos, u64)>,
     /// Frames waiting to become packets (just-in-time generation pulls
     /// from here when NIC slots and pacing allow).
     outq: VecDeque<Outbound>,
@@ -97,6 +101,7 @@ impl Flow {
             cc: Timely::new(cc_cfg),
             next_seq: 0,
             inflight: BTreeMap::new(),
+            by_sent: BTreeSet::new(),
             outq: VecDeque::new(),
             rtxq: VecDeque::new(),
             rcv_cum: 0,
@@ -148,6 +153,28 @@ impl Flow {
         self.inflight.len()
     }
 
+    /// True when the flow has nothing to send, no ack owed and nothing
+    /// in flight: no pass can find work on it until a packet arrives
+    /// or a frame is queued.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.outq.is_empty() && self.rtxq.is_empty() && !self.ack_dirty && self.inflight.is_empty()
+    }
+
+    /// Puts a packet in flight, keeping the RTO index in step.
+    fn track(&mut self, seq: u64, inf: InFlight) {
+        self.by_sent.insert((inf.sent_at, seq));
+        if let Some(old) = self.inflight.insert(seq, inf) {
+            self.by_sent.remove(&(old.sent_at, seq));
+        }
+    }
+
+    /// Takes a packet out of flight, keeping the RTO index in step.
+    fn untrack(&mut self, seq: u64) -> Option<InFlight> {
+        let inf = self.inflight.remove(&seq)?;
+        self.by_sent.remove(&(inf.sent_at, seq));
+        Some(inf)
+    }
+
     /// Attempts to produce the next packet for transmission at `now`.
     ///
     /// Returns `None` if nothing is queued, or if pacing forbids
@@ -162,7 +189,7 @@ impl Flow {
             if self.cc.next_send_at(now) <= now {
                 let (seq, frame, rtx) = self.rtxq.pop_front().expect("front exists");
                 self.cc.pace(now, bytes);
-                self.inflight.insert(
+                self.track(
                     seq,
                     InFlight {
                         frame: frame.clone(),
@@ -182,7 +209,7 @@ impl Flow {
                 self.cc.pace(now, bytes);
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.inflight.insert(
+                self.track(
                     seq,
                     InFlight {
                         frame: out.frame.clone(),
@@ -244,18 +271,26 @@ impl Flow {
     /// Processes an inbound packet's *reliability* fields and returns
     /// whether its frame is fresh (deliver) or a duplicate.
     pub fn on_packet(&mut self, pkt: &PonyPacket, now: Nanos) -> Accept {
-        self.on_packet_tracked(pkt, now).0
+        self.on_packet_tracked(pkt, now, &mut Vec::new())
     }
 
-    /// Like [`Flow::on_packet`], additionally returning the sequence
-    /// numbers newly acknowledged by this packet (the upper layer uses
-    /// them to complete send operations and return credits).
-    pub fn on_packet_tracked(&mut self, pkt: &PonyPacket, now: Nanos) -> (Accept, Vec<u64>) {
+    /// Like [`Flow::on_packet`], additionally writing into `acked`
+    /// (cleared first) the sequence numbers newly acknowledged by this
+    /// packet (the upper layer uses them to complete send operations
+    /// and return credits). The caller owns the buffer so the rx path
+    /// allocates nothing per packet.
+    pub fn on_packet_tracked(
+        &mut self,
+        pkt: &PonyPacket,
+        now: Nanos,
+        acked: &mut Vec<u64>,
+    ) -> Accept {
         // Ack processing (every packet carries acks).
-        let acked = self.apply_acks(pkt.cum_ack, &pkt.sacks, now);
+        acked.clear();
+        self.apply_acks(pkt.cum_ack, &pkt.sacks, now, acked);
 
         if matches!(pkt.frame, OpFrame::AckOnly) {
-            return (Accept::Duplicate, acked); // nothing to deliver
+            return Accept::Duplicate; // nothing to deliver
         }
 
         // Receive-side dedup.
@@ -264,7 +299,7 @@ impl Flow {
             self.stats.duplicates += 1;
             // Re-ack: our previous ack may have been lost.
             self.ack_dirty = true;
-            return (Accept::Duplicate, acked);
+            return Accept::Duplicate;
         }
         self.rcv_sacks.insert(seq);
         // Advance the cumulative point.
@@ -273,25 +308,25 @@ impl Flow {
         }
         self.ack_dirty = true;
         self.stats.delivered += 1;
-        (Accept::Deliver(pkt.frame.clone()), acked)
+        Accept::Deliver(pkt.frame.clone())
     }
 
-    fn apply_acks(&mut self, cum: u64, sacks: &[u64], now: Nanos) -> Vec<u64> {
-        let mut acked: Vec<u64> = self
-            .inflight
-            .range(..cum)
-            .map(|(&s, _)| s)
-            .collect();
-        acked.extend(sacks.iter().copied().filter(|s| self.inflight.contains_key(s)));
-        for seq in &acked {
-            if let Some(inf) = self.inflight.remove(seq) {
+    fn apply_acks(&mut self, cum: u64, sacks: &[u64], now: Nanos, acked: &mut Vec<u64>) {
+        acked.extend(self.inflight.range(..cum).map(|(&s, _)| s));
+        acked.extend(
+            sacks
+                .iter()
+                .copied()
+                .filter(|s| self.inflight.contains_key(s)),
+        );
+        for &seq in acked.iter() {
+            if let Some(inf) = self.untrack(seq) {
                 // Only first-transmission RTTs feed Timely (Karn's rule).
                 if inf.retransmits == 0 {
                     self.cc.on_rtt_sample(now.saturating_sub(inf.sent_at));
                 }
             }
         }
-        acked
     }
 
     /// The RTO: a multiple of the *smoothed* RTT (so receive-side
@@ -307,32 +342,31 @@ impl Flow {
         base.clamp(Nanos::from_micros(200), Nanos::from_millis(10))
     }
 
-    /// Earliest retransmit deadline among in-flight packets.
+    /// Earliest retransmit deadline among in-flight packets: the
+    /// oldest packet's, read off the RTO index.
     pub fn next_rto_deadline(&self) -> Option<Nanos> {
-        self.inflight
-            .values()
-            .map(|i| i.sent_at + self.rto())
-            .min()
+        self.by_sent
+            .first()
+            .map(|&(sent_at, _)| sent_at + self.rto())
     }
 
     /// Moves packets whose RTO expired onto the retransmit queue
-    /// (keeping their sequence numbers); returns how many. Expiry is a
-    /// loss signal to congestion control, counted once per check.
+    /// (keeping their sequence numbers, re-queued in seq order);
+    /// returns how many. Expiry is a loss signal to congestion control,
+    /// counted once per check. Costs one index lookup when the oldest
+    /// packet has not expired.
     pub fn check_rto(&mut self, now: Nanos) -> usize {
         let rto = self.rto();
-        let expired: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, i)| now.saturating_sub(i.sent_at) >= rto)
-            .map(|(&s, _)| s)
-            .collect();
-        let n = expired.len();
-        if n > 0 {
-            self.cc.on_loss();
+        let expired = |sent_at: Nanos| now.saturating_sub(sent_at) >= rto;
+        if self.by_sent.first().is_none_or(|&(t, _)| !expired(t)) {
+            return 0;
         }
-        for seq in expired {
-            let inf = self.inflight.remove(&seq).expect("listed above");
+        self.cc.on_loss();
+        let mut n = 0;
+        for (seq, inf) in self.inflight.extract_if(.., |_, i| expired(i.sent_at)) {
+            self.by_sent.remove(&(inf.sent_at, seq));
             self.rtxq.push_back((seq, inf.frame, inf.retransmits));
+            n += 1;
         }
         n
     }
@@ -348,13 +382,18 @@ impl Flow {
     /// (0 or 1).
     pub fn hedge_retransmit(&mut self, now: Nanos) -> usize {
         let min_age = Nanos(self.rto().as_nanos() / 4);
+        // Nothing qualifies unless the oldest packet does.
+        let young = |&(t, _): &(Nanos, u64)| now.saturating_sub(t) < min_age;
+        if self.by_sent.first().is_none_or(young) {
+            return 0;
+        }
         let victim = self
             .inflight
             .iter()
             .find(|(_, i)| now.saturating_sub(i.sent_at) >= min_age)
             .map(|(&s, _)| s);
         let Some(seq) = victim else { return 0 };
-        if let Some(inf) = self.inflight.remove(&seq) {
+        if let Some(inf) = self.untrack(seq) {
             self.rtxq.push_back((seq, inf.frame, inf.retransmits));
             1
         } else {
@@ -443,6 +482,7 @@ impl Flow {
             cc: Timely::new(cc_cfg),
             next_seq,
             inflight: BTreeMap::new(),
+            by_sent: BTreeSet::new(),
             outq,
             rtxq,
             rcv_cum,
@@ -472,7 +512,7 @@ impl Flow {
 #[derive(Debug, Default)]
 pub struct FlowMapper {
     /// (remote host, remote engine key) -> flow id.
-    map: std::collections::HashMap<(u32, u64), u64>,
+    map: snap_sim::hash::HashMap<(u32, u64), u64>,
     next_flow: u64,
 }
 
@@ -512,6 +552,7 @@ impl FlowMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn flow() -> Flow {
         Flow::new(1, 5, TimelyConfig::default())
@@ -727,6 +768,103 @@ mod tests {
         let mut restored = restored;
         // The duplicate of the already-received packet is suppressed.
         assert_eq!(restored.on_packet(&pkt, Nanos(3)), Accept::Duplicate);
+    }
+
+    fn ack(cum_ack: u64, sacks: Vec<u64>) -> PonyPacket {
+        PonyPacket {
+            version: 5,
+            flow: 1,
+            seq: 0,
+            cum_ack,
+            sacks,
+            trace: None,
+            frame: OpFrame::AckOnly,
+        }
+    }
+
+    fn rtx_seqs(f: &Flow) -> Vec<u64> {
+        f.rtxq.iter().map(|(s, _, _)| *s).collect()
+    }
+
+    /// The RTO index against a brute-force scan of `inflight`.
+    fn check_index(f: &Flow) -> Result<(), String> {
+        let scan: BTreeSet<(Nanos, u64)> =
+            f.inflight.iter().map(|(&s, i)| (i.sent_at, s)).collect();
+        prop_assert_eq!(&f.by_sent, &scan);
+        let deadline = f.inflight.values().map(|i| i.sent_at + f.rto()).min();
+        prop_assert_eq!(f.next_rto_deadline(), deadline);
+        Ok(())
+    }
+
+    proptest! {
+        /// Under any mix of sends, retransmits, cumulative and selective
+        /// acks, RTO checks, hedges and checkpoint round trips, the RTO
+        /// index agrees with a scan of the in-flight packets, and the
+        /// retransmit queue grows exactly as a scan says it should.
+        #[test]
+        fn rto_index_matches_a_scan_of_inflight(
+            ops in proptest::collection::vec((0u8..6, 0u64..2_000, any::<u64>()), 1..150),
+        ) {
+            let mut tx = flow();
+            let mut now = Nanos::ZERO;
+            let mut msg = 0;
+            for (op, step, arg) in ops {
+                now += Nanos(step * 100);
+                match op {
+                    0 => {
+                        for _ in 0..arg % 4 {
+                            msg += 1;
+                            tx.enqueue(msg_frame(msg), now);
+                        }
+                        while tx.produce(now).is_some() {}
+                    }
+                    1 => {
+                        let cum = arg % (tx.next_seq + 1);
+                        tx.on_packet(&ack(cum, vec![]), now);
+                    }
+                    2 => {
+                        let sacks: Vec<u64> = tx
+                            .inflight
+                            .keys()
+                            .enumerate()
+                            .filter(|(i, _)| arg >> (i % 64) & 1 == 1)
+                            .map(|(_, &s)| s)
+                            .collect();
+                        tx.on_packet(&ack(0, sacks), now);
+                    }
+                    3 => {
+                        let rto = tx.rto();
+                        let expired: Vec<u64> = tx
+                            .inflight
+                            .iter()
+                            .filter(|(_, i)| now.saturating_sub(i.sent_at) >= rto)
+                            .map(|(&s, _)| s)
+                            .collect();
+                        let mut want = rtx_seqs(&tx);
+                        want.extend(&expired);
+                        prop_assert_eq!(tx.check_rto(now), expired.len());
+                        prop_assert_eq!(rtx_seqs(&tx), want);
+                    }
+                    4 => {
+                        let min_age = Nanos(tx.rto().as_nanos() / 4);
+                        let victim = tx
+                            .inflight
+                            .iter()
+                            .find(|(_, i)| now.saturating_sub(i.sent_at) >= min_age)
+                            .map(|(&s, _)| s);
+                        let mut want = rtx_seqs(&tx);
+                        want.extend(victim);
+                        prop_assert_eq!(tx.hedge_retransmit(now), victim.iter().count());
+                        prop_assert_eq!(rtx_seqs(&tx), want);
+                    }
+                    _ => {
+                        tx = Flow::deserialize(&tx.serialize(), TimelyConfig::default(), now)
+                            .expect("restores");
+                    }
+                }
+                check_index(&tx)?;
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod costs;
 pub mod dist;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;

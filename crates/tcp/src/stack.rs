@@ -8,7 +8,7 @@
 //! enough to survive congestion drops on the shared fabric.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -16,6 +16,7 @@ use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::{HostId, Packet, QosClass};
 use snap_sim::codec::{Reader, Writer};
 use snap_sim::costs;
+use snap_sim::hash::{HashMap, HashSet};
 use snap_sim::{Nanos, Sim};
 
 use snap_sched::classes::SchedClass;
@@ -74,7 +75,7 @@ const KIND_ACK: u8 = 1;
 struct MsgRecv {
     total: u64,
     received: u64,
-    offsets: std::collections::HashSet<u64>,
+    offsets: HashSet<u64>,
 }
 
 struct Connection {
@@ -97,7 +98,7 @@ struct Connection {
     /// Messages already delivered to the app. A retransmit that lands
     /// after completion (its ACK was lost) must be re-ACKed but not
     /// re-delivered. Unbounded, which is fine for simulation.
-    delivered: std::collections::HashSet<u64>,
+    delivered: HashSet<u64>,
 }
 
 impl Connection {
@@ -110,8 +111,8 @@ impl Connection {
             inflight_bytes: 0,
             tx_scheduled: false,
             rto_scheduled: false,
-            recv: HashMap::new(),
-            delivered: std::collections::HashSet::new(),
+            recv: HashMap::default(),
+            delivered: HashSet::default(),
         }
     }
 
@@ -133,6 +134,9 @@ struct Inner {
     cpu_busy: Nanos,
     stats: TcpStats,
     next_conn: u32,
+    /// Reusable softirq receive batch, so draining the rx ring
+    /// allocates nothing per interrupt.
+    rx_buf: Vec<Packet>,
 }
 
 impl Inner {
@@ -182,11 +186,12 @@ impl TcpHost {
                 fabric: fabric.clone(),
                 machine,
                 cfg,
-                conns: HashMap::new(),
+                conns: HashMap::default(),
                 on_message: None,
                 cpu_busy: Nanos::ZERO,
                 stats: TcpStats::default(),
                 next_conn: 1,
+                rx_buf: Vec::new(),
             })),
         };
         // Kernel TCP receives via interrupts: arm every queue and
@@ -426,23 +431,23 @@ impl TcpHost {
 
     /// Softirq: drain the rx ring, process data/acks, charge CPU.
     fn softirq(&self, sim: &mut Sim, queue: u16) {
-        let mut pkts = Vec::new();
-        {
-            let inner = self.inner.borrow();
+        let mut pkts = {
+            let mut inner = self.inner.borrow_mut();
+            let mut pkts = std::mem::take(&mut inner.rx_buf);
             let host = inner.host;
             inner.fabric.with_nic(host, |nic| {
                 // Kernel NAPI polls a budget of packets per softirq.
                 nic.poll_rx(queue, 64, &mut pkts);
             });
-            let _ = inner;
-        }
-        if pkts.is_empty() {
-            return;
-        }
-        self.inner.borrow_mut().cpu_busy += Nanos(costs::INTERRUPT_NS);
-        for pkt in pkts {
+            if !pkts.is_empty() {
+                inner.cpu_busy += Nanos(costs::INTERRUPT_NS);
+            }
+            pkts
+        };
+        for pkt in pkts.drain(..) {
             self.process_packet(sim, pkt);
         }
+        self.inner.borrow_mut().rx_buf = pkts;
     }
 
     fn process_packet(&self, sim: &mut Sim, pkt: Packet) {

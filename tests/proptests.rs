@@ -161,6 +161,7 @@ proptest! {
             );
         }
         let mut delivered = std::collections::HashSet::new();
+        let mut acked = Vec::new();
         let mut drops = drop_pattern.into_iter();
         let mut now = Nanos::ZERO;
         // Drive for bounded virtual time: produce, maybe drop, deliver,
@@ -172,8 +173,8 @@ proptest! {
                 if dropped {
                     continue;
                 }
-                if let (Accept::Deliver(OpFrame::MsgChunk { msg, .. }), _) =
-                    rx.on_packet_tracked(&pkt, now)
+                if let Accept::Deliver(OpFrame::MsgChunk { msg, .. }) =
+                    rx.on_packet_tracked(&pkt, now, &mut acked)
                 {
                     delivered.insert(msg);
                 }
